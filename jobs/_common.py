@@ -1,7 +1,7 @@
-"""Shared SparkSession builder for the spark-submit job entrypoints.
-
-Mirrors conftest.py's session config (broadcast joins disabled, Arrow on)
-so job results match test results exactly.
+"""Shared SparkSession builder for the spark-submit job entrypoints, the
+test session (``conftest.py``) and the benchmark, so all three run under
+one session config (32 shuffle partitions, Arrow on, broadcast joins
+disabled).
 """
 from __future__ import annotations
 

@@ -1,39 +1,52 @@
 """Expertise measures (Eqs. 2–5), preprocessing (§IV-A), and labels.
 
-All per-matcher measures are computed with Spark: precision/recall via a
-join against the reference match, resolution (Goodman–Kruskal gamma with
-a permutation p-value) via ``applyInPandas`` per matcher — the gamma
-needs the whole per-matcher correctness vector, which is at most a few
-hundred rows.
+:func:`history_measures` is the one implementation of P, R, Res (with its
+permutation p-value) and Cal: it works on one matcher's history and
+Eq. 1 matrix, which are at most a few hundred rows. The extraction
+kernel (:mod:`repro.core.extract`) calls it inside ``prepare``;
+:func:`matcher_measures` runs it per matcher with ``applyInPandas`` over
+any decision DataFrame. :func:`preprocess_history` and
+:func:`matrix_with_correctness` are the DataFrame forms of the same
+steps, kept as references for the kernel.
 """
 from __future__ import annotations
 
 import zlib
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession, Window
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
-from repro.core.matrix import history_to_matrix
+from repro.core.matrix import final_entries, history_to_matrix
 from repro.ml.gamma import gamma_with_pvalue
 
 __all__ = [
     "preprocess_history",
     "matrix_with_correctness",
+    "history_measures",
+    "reference_pairs",
     "matcher_measures",
     "cognitive_thresholds",
     "attach_labels",
     "LABELS",
+    "MEASURE_COLUMNS",
+    "WARMUP_DROP",
+    "OUT_STD",
 ]
 
 LABELS = ["E_P", "E_R", "E_Res", "E_Cal"]
 
 _DELTA_P = 0.5  # Eq. 2 threshold (paper §II-B1)
 _DELTA_R = 0.5  # Eq. 3 threshold
+WARMUP_DROP = 3  # §IV-A: decisions dropped at the start of each history
+OUT_STD = 2.0  # §IV-A: elapsed-time outlier cut, in standard deviations
 
 
-def preprocess_history(decisions: DataFrame, *, warmup_drop: int = 3, out_std: float = 2.0) -> DataFrame:
+def preprocess_history(
+    decisions: DataFrame, *, warmup_drop: int = WARMUP_DROP, out_std: float = OUT_STD
+) -> DataFrame:
     """§IV-A preprocessing over the raw history.
 
     1. Drop the first ``warmup_drop`` decisions per matcher (response
@@ -70,41 +83,47 @@ def matrix_with_correctness(decisions: DataFrame, reference: DataFrame) -> DataF
     ).drop("_in_ref")
 
 
-_RES_SCHEMA = T.StructType(
+_MEASURES_SCHEMA = T.StructType(
     [
         T.StructField("matcher_id", T.StringType()),
         T.StructField("task", T.StringType()),
+        T.StructField("n_sigma", T.LongType()),
+        T.StructField("P", T.DoubleType()),
+        T.StructField("R", T.DoubleType()),
+        T.StructField("n_decisions", T.LongType()),
+        T.StructField("conf_mean", T.DoubleType()),
         T.StructField("res", T.DoubleType()),
         T.StructField("res_pval", T.DoubleType()),
+        T.StructField("cal", T.DoubleType()),
     ]
 )
+MEASURE_COLUMNS = _MEASURES_SCHEMA.names
 
 
-def _make_resolution_fn(n_perm: int, seed: int):
-    def _resolution(pdf: pd.DataFrame) -> pd.DataFrame:
-        mid = pdf["matcher_id"].iloc[0]
-        task = pdf["task"].iloc[0]
-        # stable per-matcher seed → deterministic p-values cluster-wide
-        mseed = (zlib.crc32(f"{mid}|{task}".encode()) + seed) % (2**31)
-        g, p = gamma_with_pvalue(
-            pdf["conf"].to_numpy(), pdf["correct"].to_numpy(), n_perm=n_perm, seed=mseed
-        )
-        return pd.DataFrame(
-            {"matcher_id": [mid], "task": [task], "res": [g], "res_pval": [p]}
-        )
-
-    return _resolution
+def reference_pairs(reference: pd.DataFrame) -> dict[str, frozenset]:
+    """Task → set of ``(row_i, col_j)`` pairs of its reference match M^e."""
+    return {
+        task: frozenset(zip(g["row_i"].tolist(), g["col_j"].tolist()))
+        for task, g in reference.groupby("task")
+    }
 
 
-def matcher_measures(
-    spark: SparkSession,
-    decisions: DataFrame,
-    reference: DataFrame,
+def history_measures(
+    history: pd.DataFrame,
+    entries: pd.DataFrame,
+    reference: frozenset,
     *,
     n_perm: int = 200,
     seed: int = 0,
-) -> DataFrame:
-    """Per-matcher P, R, Res (+p-value), Cal — Eqs. 2–5.
+) -> dict:
+    """P, R, Res (+p-value), Cal of ONE matcher — Eqs. 2–5.
+
+    ``history`` is the matcher's (preprocessed) decisions ordered by
+    ``(t, step)``, ``entries`` its
+    Eq. 1 matrix as :func:`~repro.core.matrix.final_entries` returns it
+    (ordered by ``(row_i, col_j)``, so the permutation p-value does not
+    depend on the order the rows arrived in), and ``reference`` the
+    task's reference pairs.
 
     - P(H): fraction of matrix entries that are in M^e.
     - R(H): matrix entries in M^e divided by |M^e+| of the task.
@@ -112,30 +131,62 @@ def matcher_measures(
     - Cal(H): mean *reported* confidence over the whole history H minus
       P(H) (the paper averages over decisions, not matrix entries).
     """
-    mwc = matrix_with_correctness(decisions, reference)
-    ref_sizes = reference.groupBy("task").agg(F.count("*").alias("_ref_size"))
-    pr = (
-        mwc.groupBy("matcher_id", "task")
-        .agg(
-            F.count("*").alias("n_sigma"),
-            F.sum("correct").alias("_n_correct"),
-            F.avg("correct").alias("P"),
+    mid = history["matcher_id"].iloc[0]
+    task = history["task"].iloc[0]
+    correct = np.array(
+        [(i, j) in reference for i, j in zip(entries["row_i"], entries["col_j"])], dtype=float
+    )
+    precision = float(correct.mean())
+    conf_mean = float(history["conf"].mean())
+    # stable per-matcher seed → deterministic p-values cluster-wide
+    mseed = (zlib.crc32(f"{mid}|{task}".encode()) + seed) % (2**31)
+    res, res_pval = gamma_with_pvalue(
+        entries["conf"].to_numpy(float), correct, n_perm=n_perm, seed=mseed
+    )
+    return {
+        "matcher_id": mid,
+        "task": task,
+        "n_sigma": len(entries),
+        "P": precision,
+        "R": float(correct.sum() / len(reference)),
+        "n_decisions": len(history),
+        "conf_mean": conf_mean,
+        "res": res,
+        "res_pval": res_pval,
+        "cal": conf_mean - precision,
+    }
+
+
+def _make_measures_fn(references: dict[str, frozenset], n_perm: int, seed: int):
+    def _measures(pdf: pd.DataFrame) -> pd.DataFrame:
+        reference = references.get(pdf["task"].iloc[0])
+        if reference is None:  # no reference match for the task: no measures
+            return pd.DataFrame(columns=MEASURE_COLUMNS)
+        history = pdf.sort_values(["t", "step"], kind="mergesort")  # arrival order varies
+        row = history_measures(
+            history, final_entries(history), reference, n_perm=n_perm, seed=seed
         )
-        .join(ref_sizes, "task")
-        .withColumn("R", F.col("_n_correct") / F.col("_ref_size"))
-        .drop("_n_correct", "_ref_size")
-    )
-    conf = decisions.groupBy("matcher_id", "task").agg(
-        F.count("*").alias("n_decisions"), F.avg("conf").alias("_conf_mean")
-    )
-    res = mwc.groupBy("matcher_id", "task").applyInPandas(
-        _make_resolution_fn(n_perm, seed), schema=_RES_SCHEMA
-    )
-    return (
-        pr.join(conf, ["matcher_id", "task"])
-        .join(res, ["matcher_id", "task"])
-        .withColumn("cal", F.col("_conf_mean") - F.col("P"))
-        .withColumnRenamed("_conf_mean", "conf_mean")
+        return pd.DataFrame([row], columns=MEASURE_COLUMNS)
+
+    return _measures
+
+
+def matcher_measures(
+    spark: SparkSession,
+    decisions: DataFrame,
+    reference: DataFrame | pd.DataFrame,
+    *,
+    n_perm: int = 200,
+    seed: int = 0,
+) -> DataFrame:
+    """Per-matcher P, R, Res (+p-value), Cal (:func:`history_measures`)
+    over every (matcher_id, task) group of ``decisions``, one
+    ``applyInPandas`` pass. The reference match is small and is collected
+    once to the driver."""
+    if isinstance(reference, DataFrame):
+        reference = reference.select("task", "row_i", "col_j").toPandas()
+    return decisions.groupBy("matcher_id", "task").applyInPandas(
+        _make_measures_fn(reference_pairs(reference), n_perm, seed), schema=_MEASURES_SCHEMA
     )
 
 

@@ -2,10 +2,11 @@
 
 Two-stage API designed around the experiment structure:
 
-- :func:`prepare` runs every fold-independent Spark extraction ONCE over
-  the cohort plus all sub-matcher windows (measures, Φ_LRSM/Φ_Beh/Φ_Mou,
-  sequences, heat maps, final matrices) and collects cohort-scale frames
-  to the driver.
+- :func:`prepare` runs every fold-independent extraction ONCE over the
+  cohort plus all sub-matcher windows (measures, Φ_LRSM/Φ_Beh/Φ_Mou,
+  sequences, heat maps, final matrices) as one cogrouped Spark pass with
+  a per-matcher kernel (:mod:`repro.core.extract`) and collects
+  cohort-scale frames to the driver.
 - :func:`train_mexi` / :meth:`MExIModel.predict` then run per fold /
   per configuration entirely on the prepared bundle: train-fold
   thresholds → labels, train-only consensus, LSTM/CNN late fusion,
@@ -19,25 +20,31 @@ from dataclasses import dataclass, field
 import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
-from pyspark.sql import functions as F
-from pyspark.sql import Window
 
-from repro.core.features import ALL_SETS, FEATURE_SETS, aggregated_features
-from repro.core.matrix import history_to_matrix
-from repro.core.measures import (
-    LABELS,
-    attach_labels,
-    cognitive_thresholds,
-    matcher_measures,
-    preprocess_history,
+from repro.core.extract import (
+    COUNT_COLUMNS,
+    ENTRY_COLUMNS,
+    HEATMAP_COLUMNS,
+    SEQUENCE_COLUMNS,
+    extract,
 )
-from repro.core.mouse import heatmap_counts
-from repro.core.sequential import SeqFeatureExtractor, decision_sequences
+from repro.core.features import ALL_SETS, FEATURE_SETS
+from repro.core.measures import LABELS, MEASURE_COLUMNS, attach_labels, cognitive_thresholds
+from repro.core.sequential import SeqFeatureExtractor
 from repro.core.spatial import SpaFeatureExtractor, heatmap_tensors
-from repro.core.submatchers import expand_submatchers, parent_of, spec_of, submatcher_sizes
+from repro.core.submatchers import is_sub, parent_of, spec_of, submatcher_sizes
 from repro.humansim.cohort import Cohort
 from repro.ml.forest import RandomForest
 from repro.ml.logreg import LogisticRegression
+
+# Imported only so that perfbench/tracing.py, which patches these names
+# when it installs, finds them; ``prepare`` calls none of them.
+from repro.core.features import aggregated_features  # noqa: F401
+from repro.core.matrix import history_to_matrix  # noqa: F401
+from repro.core.measures import matcher_measures  # noqa: F401
+from repro.core.mouse import heatmap_counts  # noqa: F401
+from repro.core.sequential import decision_sequences  # noqa: F401
+from repro.core.submatchers import expand_submatchers  # noqa: F401
 
 __all__ = [
     "NNParams",
@@ -91,13 +98,20 @@ class PreparedData:
         ]
 
 
-def _limit_decisions(decisions, n: int):
-    w = Window.partitionBy("matcher_id", "task").orderBy("t", "step")
-    return (
-        decisions.withColumn("_rank", F.row_number().over(w))
-        .where(F.col("_rank") <= n)
-        .drop("_rank")
-    )
+def _ints(frame: pd.DataFrame) -> pd.DataFrame:
+    """Count columns back to int64: real, virtual and warm-up rows share
+    one collected frame, whose nulls turned them into floats."""
+    return frame.astype({c: "int64" for c in COUNT_COLUMNS.intersection(frame.columns)})
+
+
+def _explode(rows: pd.DataFrame, columns: list[str], names: list[str]) -> pd.DataFrame:
+    """Long frame from per-id array columns, keyed by matcher_id."""
+    lengths = rows[columns[0]].map(len).to_numpy()
+    out = {"matcher_id": np.repeat(rows["matcher_id"].to_numpy(), lengths)}
+    for col, name in zip(columns, names):
+        parts = rows[col].tolist()
+        out[name] = np.concatenate(parts) if parts else np.array([], dtype=np.int64)
+    return pd.DataFrame(out)
 
 
 def prepare(
@@ -115,56 +129,36 @@ def prepare(
     ``decision_limit`` truncates each matcher's preprocessed history to its
     first N decisions — the §IV-F early-identification setting.
     ``sub_sizes`` defaults to the union needed by MExI_50 and MExI_70.
+    Measures are only computed for REAL matchers: sub-matchers inherit
+    their parent's labels (features from the window, labels of the
+    matcher — which is what lets a trained MExI judge a *partial* history
+    in the §IV-F early-identification setting).
     """
     if sub_sizes is None:
         sub_sizes = sorted(set(submatcher_sizes("50")) | set(submatcher_sizes("70")))
-    dims = {cohort.task.name: (cohort.task.n_rows, cohort.task.n_cols)}
-
-    dec = preprocess_history(spark.createDataFrame(cohort.decisions))
-    if decision_limit is not None:
-        dec = _limit_decisions(dec, decision_limit)
-    mouse = spark.createDataFrame(cohort.mouse)
-    if decision_limit is not None:
-        # mouse map truncated to the same time span as the kept decisions
-        spans = dec.groupBy("matcher_id", "task").agg(F.max("t").alias("_t_hi"))
-        mouse = mouse.join(spans, ["matcher_id", "task"]).where(
-            F.col("t") <= F.col("_t_hi")
-        ).drop("_t_hi")
-
-    sub_dec, sub_mouse = expand_submatchers(spark, dec, mouse, sizes=sub_sizes)
-    all_dec = dec.unionByName(sub_dec).persist()
-    all_mouse = mouse.unionByName(sub_mouse).persist()
-
-    reference = spark.createDataFrame(cohort.reference_df())
-    # Measures are only needed for REAL matchers: sub-matchers inherit
-    # their parent's labels (features from the window, labels of the
-    # matcher — which is what lets a trained MExI judge a *partial*
-    # history in the §IV-F early-identification setting).
-    measures = matcher_measures(spark, dec, reference, n_perm=n_perm, seed=seed).toPandas()
-    features = aggregated_features(all_dec, all_mouse, dims)
-    sequences = decision_sequences(all_dec)
-    hm = heatmap_counts(all_mouse, grid=grid).toPandas()
-    heatmaps = heatmap_tensors(hm, grid=grid)
-    matrix_entries = (
-        history_to_matrix(dec).select("matcher_id", "row_i", "col_j").toPandas()
-    )
-    warmup_measures = matcher_measures(
+    rows = extract(
         spark,
-        spark.createDataFrame(cohort.warmup_decisions),
-        spark.createDataFrame(cohort.warmup_reference_df()),
-        n_perm=max(20, n_perm // 4),
-        seed=seed + 1,
-    ).toPandas()
-    all_dec.unpersist()
-    all_mouse.unpersist()
+        cohort,
+        sub_sizes=sub_sizes,
+        grid=grid,
+        n_perm=n_perm,
+        seed=seed,
+        decision_limit=decision_limit,
+    )
+    main = rows[rows["phase"] == "main"].reset_index(drop=True)
+    real = main[~main["matcher_id"].map(is_sub)].reset_index(drop=True)
+    warmup = rows[rows["phase"] == "warmup"].reset_index(drop=True)
+    keys = ["matcher_id", "task"]
+    aggregated = [c for s in ("LRSM", "Beh", "Mou") for c in FEATURE_SETS[s]]
+    hm = _explode(main, HEATMAP_COLUMNS, ["etype", "bx", "by", "cnt"])
     return PreparedData(
         cohort=cohort,
-        features=features,
-        measures=measures,
-        sequences=sequences,
-        heatmaps=heatmaps,
-        matrix_entries=matrix_entries,
-        warmup_measures=warmup_measures,
+        features=_ints(main[keys + aggregated]),
+        measures=_ints(real[MEASURE_COLUMNS]),
+        sequences=main[keys + SEQUENCE_COLUMNS],
+        heatmaps=heatmap_tensors(hm, grid=grid),
+        matrix_entries=_explode(real, ENTRY_COLUMNS, ["row_i", "col_j"]),
+        warmup_measures=_ints(warmup[MEASURE_COLUMNS]),
         grid=grid,
     )
 

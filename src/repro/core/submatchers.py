@@ -18,7 +18,14 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession, Window
 from pyspark.sql import functions as F
 
-__all__ = ["submatcher_sizes", "expand_submatchers", "parent_of", "spec_of", "is_sub"]
+__all__ = [
+    "submatcher_sizes",
+    "windows",
+    "expand_submatchers",
+    "parent_of",
+    "spec_of",
+    "is_sub",
+]
 
 _SPECS = {"none": [], "50": [50], "70": [30, 40, 50, 60, 70]}
 
@@ -46,6 +53,18 @@ def spec_of(matcher_id: str) -> int | None:
     return int(matcher_id.split("#")[1].removeprefix("w"))
 
 
+def windows(n: int, sizes: list[int]) -> list[tuple[int, int]]:
+    """``(size, start)`` of every window over a history of ``n`` decisions:
+    stride ``size // 2``, each window entirely within the history, so a
+    history shorter than ``size`` has no window of that size. ``start``
+    is the 0-based position of the window's first decision."""
+    return [
+        (size, start)
+        for size in sizes
+        for start in range(0, n - size + 1, max(1, size // 2))
+    ]
+
+
 def expand_submatchers(
     spark: SparkSession,
     decisions: DataFrame,
@@ -53,12 +72,12 @@ def expand_submatchers(
     *,
     sizes: list[int],
 ) -> tuple[DataFrame, DataFrame]:
-    """Virtual (decisions, mouse) frames for all windows of all ``sizes``.
+    """Virtual (decisions, mouse) frames for all :func:`windows` of all
+    ``sizes``, as DataFrames. The returned frames contain ONLY virtual
+    matchers; callers union them with the originals as needed.
 
-    Windows slide with stride ``size // 2`` and must fit entirely within
-    the history. Matchers shorter than ``size`` yield no window of that
-    size. The returned frames contain ONLY virtual matchers; callers
-    union them with the originals as needed.
+    ``prepare`` cuts the same windows inside its per-matcher kernel
+    (:mod:`repro.core.extract`); this DataFrame form is its reference.
     """
     if not sizes:
         empty_d = spark.createDataFrame([], decisions.schema)
@@ -68,20 +87,17 @@ def expand_submatchers(
     counts = (
         decisions.groupBy("matcher_id", "task").agg(F.count("*").alias("n")).collect()
     )
-    defs = []
-    for row in counts:
-        for size in sizes:
-            stride = max(1, size // 2)
-            for start in range(0, row["n"] - size + 1, stride):
-                defs.append(
-                    {
-                        "matcher_id": row["matcher_id"],
-                        "task": row["task"],
-                        "sub_id": f"{row['matcher_id']}#w{size}#{start}",
-                        "lo": start + 1,  # ranks are 1-based
-                        "hi": start + size,
-                    }
-                )
+    defs = [
+        {
+            "matcher_id": row["matcher_id"],
+            "task": row["task"],
+            "sub_id": f"{row['matcher_id']}#w{size}#{start}",
+            "lo": start + 1,  # ranks are 1-based
+            "hi": start + size,
+        }
+        for row in counts
+        for size, start in windows(row["n"], sizes)
+    ]
     if not defs:
         empty_d = spark.createDataFrame([], decisions.schema)
         empty_m = spark.createDataFrame([], mouse.schema)

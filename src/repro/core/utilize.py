@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
+from pyspark.sql import SparkSession
 from pyspark.sql import types as T
 
-from repro.core.matrix import history_to_matrix
+from repro.core.matrix import final_entries
+from repro.core.matrix import history_to_matrix  # noqa: F401  (patched by perfbench/tracing.py)
 from repro.core.measures import LABELS
 from repro.core.mexi import PreparedData
 
@@ -81,8 +81,8 @@ def fused_match(
     """Fuse the selected matchers' correspondences into one match.
 
     Correspondence-level filtering before aggregation: each selected
-    matcher's final matrix entries are scored inside a grouped pandas
-    UDF — the vote is the reported confidence, shifted by the matcher's
+    matcher's Eq. 1 matrix is built from its raw history and its entries
+    are scored inside a grouped pandas UDF — the vote is the reported confidence, shifted by the matcher's
     measured calibration when ``bias_correct`` (an under-confident
     expert's 0.4 may really mean 0.6, §II-B). A correspondence enters
     the fused match when its summed vote reaches ``vote_frac`` of the
@@ -98,32 +98,31 @@ def fused_match(
     decisions = spark.createDataFrame(
         cohort.decisions[cohort.decisions["matcher_id"].isin(selected_ids)]
     )
-    matrix = history_to_matrix(decisions)
     cal_by_matcher = (
         data.measures.set_index("matcher_id")["cal"].to_dict() if bias_correct else {}
     )
 
-    def _score(pdf: pd.DataFrame) -> pd.DataFrame:
-        mid = pdf["matcher_id"].iloc[0]
-        bias = float(cal_by_matcher.get(mid, 0.0))
+    def _score(history: pd.DataFrame) -> pd.DataFrame:
+        entries = final_entries(history)  # Eq. 1 over the raw history
+        bias = float(cal_by_matcher.get(history["matcher_id"].iloc[0], 0.0))
         # bias-corrected confidence vote, clipped to [0, 1]
-        vote = np.clip(pdf["conf"].to_numpy(float) - bias, 0.0, 1.0)
+        vote = np.clip(entries["conf"].to_numpy(float) - bias, 0.0, 1.0)
         return pd.DataFrame(
-            {"row_i": pdf["row_i"], "col_j": pdf["col_j"], "vote": vote}
+            {"row_i": entries["row_i"], "col_j": entries["col_j"], "vote": vote}
         )
 
-    scored = matrix.groupBy("matcher_id").applyInPandas(_score, schema=_SCORE_SCHEMA)
-    votes = scored.groupBy("row_i", "col_j").agg(F.sum("vote").alias("votes"))
-    max_vote = votes.agg(F.max("votes").alias("m")).collect()[0]["m"] or 0.0
-    fused = votes.where(F.col("votes") >= vote_frac * max_vote)
-    ref = spark.createDataFrame(cohort.reference_df()).select(
-        "row_i", "col_j", F.lit(1).alias("_ref")
-    )
-    joined = fused.join(ref, ["row_i", "col_j"], "left").agg(
-        F.count("*").alias("n_pairs"), F.sum(F.coalesce("_ref", F.lit(0))).alias("n_correct")
-    ).collect()[0]
-    n_pairs = joined["n_pairs"] or 0
-    n_correct = joined["n_correct"] or 0
+    # One Spark action: the scored entries (one row per selected matcher
+    # and proposed pair, a few thousand at cohort scale) are collected;
+    # the per-pair vote, the relative threshold and the reference check
+    # run on the driver. A Spark aggregation here costs one more shuffle
+    # and, on the first call in a process, a second of plan compilation.
+    scored = decisions.groupBy("matcher_id").applyInPandas(_score, schema=_SCORE_SCHEMA)
+    votes = scored.toPandas().groupby(["row_i", "col_j"])["vote"].sum()
+    max_vote = float(votes.max()) if len(votes) else 0.0
+    fused = votes[votes >= vote_frac * max_vote].index
+    ref = cohort.task.reference_pairs
+    n_pairs = len(fused)
+    n_correct = sum(pair in ref for pair in fused)
     n_ref = len(cohort.task.reference)
     return {
         "P": float(n_correct / n_pairs) if n_pairs else float("nan"),
