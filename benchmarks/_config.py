@@ -11,7 +11,7 @@ from repro.core.mexi import NNParams
 
 BENCH_NN = NNParams(
     lstm_hidden=16, lstm_dense=16, lstm_epochs=6,
-    cnn_filters=4, cnn_epochs=8, grid=16,
+    cnn_filters=4, cnn_epochs=8,
 )
 BENCH_N_MATCHERS = 36
 BENCH_K = 3

@@ -21,7 +21,7 @@ def main(fast: bool = False) -> None:
 
     if fast:
         nn = NNParams(lstm_hidden=16, lstm_dense=16, lstm_epochs=8,
-                      cnn_filters=4, cnn_epochs=10, grid=16)
+                      cnn_filters=4, cnn_epochs=10)
         t = table2b(spark, po_n=40, oaei_n=16, seed=0, nn=nn, n_perm=40, grid=16)
     else:
         t = table2b(spark, seed=0, n_perm=100)

@@ -22,7 +22,7 @@ def main(fast: bool = False) -> None:
 
     if fast:
         nn = NNParams(lstm_hidden=16, lstm_dense=16, lstm_epochs=8,
-                      cnn_filters=4, cnn_epochs=10, grid=16)
+                      cnn_filters=4, cnn_epochs=10)
         exp = run_po_experiment(spark, n_matchers=40, k=3, seed=0, nn=nn,
                                 n_perm=40, grid=16)
         ut = utilization_tables(spark, exp, early_limit=15)

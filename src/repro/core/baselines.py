@@ -91,9 +91,5 @@ def baseline_predictions(
         model = train_mexi(
             data, train_ids, submatcher="none", include_sets=sets, nn=NNParams(), seed=seed
         )
-        out[name] = (
-            model.predict(test_ids)
-            if test_data is data
-            else model.predict_on(test_data, test_ids)
-        )
+        out[name] = model.predict(test_ids, data=test_data)
     return out

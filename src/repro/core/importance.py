@@ -29,8 +29,7 @@ def permutation_importance(
 
     ``y_true`` carries ground-truth label columns per matcher_id.
     """
-    rows = model.transformed.set_index("matcher_id").loc[ids]
-    X = rows[model.feature_cols].to_numpy(dtype=float)
+    X = model.features(ids)
     t = y_true.set_index("matcher_id").loc[ids]
     rng = np.random.default_rng(seed)
     out = []

@@ -30,6 +30,7 @@ __all__ = [
     "matcher_measures",
     "cognitive_thresholds",
     "attach_labels",
+    "train_fold_labels",
     "LABELS",
     "MEASURE_COLUMNS",
     "WARMUP_DROP",
@@ -213,3 +214,17 @@ def attach_labels(
     out["E_Res"] = ((out["res"] > delta_res) & (out["res_pval"] < 0.05)).astype(int)
     out["E_Cal"] = (out["cal"].abs() < abs(delta_cal)).astype(int)
     return out
+
+
+def train_fold_labels(
+    train_measures: pd.DataFrame, train_ids: list[str], measures: pd.DataFrame | None = None
+) -> tuple[pd.DataFrame, float, float]:
+    """``matcher_id`` + :data:`LABELS` of every row of ``measures``
+    (default ``train_measures``) under the cognitive thresholds of the
+    ``train_ids`` rows of ``train_measures`` only (§IV-B1), and those
+    thresholds (delta_Res, delta_Cal)."""
+    train = train_measures[train_measures["matcher_id"].isin(train_ids)]
+    d_res, d_cal = cognitive_thresholds(train)
+    labels = attach_labels(train_measures if measures is None else measures,
+                           delta_res=d_res, delta_cal=d_cal)
+    return labels[["matcher_id", *LABELS]], d_res, d_cal

@@ -7,11 +7,20 @@ Two-stage API designed around the experiment structure:
   sequences, heat maps, final matrices) as one cogrouped Spark pass with
   a per-matcher kernel (:mod:`repro.core.extract`) and collects
   cohort-scale frames to the driver.
-- :func:`train_mexi` / :meth:`MExIModel.predict` then run per fold /
-  per configuration entirely on the prepared bundle: train-fold
-  thresholds → labels, train-only consensus, LSTM/CNN late fusion,
-  binary-relevance classifier selection (logistic regression vs random
-  forest, 3-fold CV as §IV-B2's "top performing classifier").
+- :func:`build_transform_stage` / :func:`fit_from_stage` (together
+  :func:`train_mexi`) then run per fold / per configuration entirely on
+  the prepared bundle: train-fold thresholds → labels, train-only
+  consensus, late fusion, binary-relevance classifier selection
+  (logistic regression vs random forest, 3-fold CV as §IV-B2's "top
+  performing classifier").
+
+Late fusion is one mechanism: a network per late-fusion set (an LSTM per
+decision-sequence channel for Φ_Seq, a CNN per heat-map type for Φ_Spa)
+with one interface, ``fit(bundle, labels)`` / ``transform(bundle, ids)``,
+and one transform, :func:`_late_fusion`, which builds the Φ(D) rows of
+the stage (full-fit networks), of each out-of-fold half, and of another
+bundle. :meth:`MExIModel.predict` is the one predict path: rows of the
+stage's table, or of another bundle through the model's own networks.
 """
 from __future__ import annotations
 
@@ -29,7 +38,7 @@ from repro.core.extract import (
     extract,
 )
 from repro.core.features import ALL_SETS, FEATURE_SETS
-from repro.core.measures import LABELS, MEASURE_COLUMNS, attach_labels, cognitive_thresholds
+from repro.core.measures import LABELS, MEASURE_COLUMNS, train_fold_labels
 from repro.core.sequential import SeqFeatureExtractor
 from repro.core.spatial import SpaFeatureExtractor, heatmap_tensors
 from repro.core.submatchers import is_sub, parent_of, spec_of, submatcher_sizes
@@ -65,8 +74,6 @@ class NNParams:
     lstm_hidden: int = 64
     lstm_dense: int = 100
     lstm_epochs: int = 40
-    max_len: int = 70
-    grid: int = 24
     cnn_filters: int = 8
     cnn_epochs: int = 60
 
@@ -86,7 +93,10 @@ class PreparedData:
 
     @property
     def full_ids(self) -> list[str]:
-        return self.cohort.matcher_ids
+        """Cohort matchers with a measures row, in cohort order (§IV-A
+        preprocessing can drop every decision of a matcher)."""
+        measured = set(self.measures["matcher_id"])
+        return [m for m in self.cohort.matcher_ids if m in measured]
 
     def sub_ids_for(self, parents: list[str], spec: str) -> list[str]:
         sizes = set(submatcher_sizes(spec))
@@ -258,6 +268,16 @@ def _fit_best_classifier(X: np.ndarray, y: np.ndarray, *, seed: int):
     return _Thresholded(candidates[k](seed).fit(X, y), thr)
 
 
+def _late_fusion(data: PreparedData, ids: list[str], networks) -> pd.DataFrame:
+    """Φ(D) rows of the ``ids`` of ``data``, in bundle order (§III-B,
+    Fig. 7): the aggregated sets Φ_LRSM/Φ_Beh/Φ_Mou, then the four label
+    coefficients of each channel of each late-fusion network."""
+    rows = data.features[data.features["matcher_id"].isin(ids)]
+    for net in networks:
+        rows = rows.merge(net.transform(data, list(rows["matcher_id"])), on="matcher_id", how="left")
+    return rows.reset_index(drop=True)
+
+
 @dataclass
 class MExIModel:
     """A trained expert characterizer f: D → Y (Problem 1)."""
@@ -265,62 +285,23 @@ class MExIModel:
     include_sets: tuple[str, ...]
     feature_cols: list[str]
     classifiers: dict[str, object]
-    delta_res: float
-    delta_cal: float
-    transformed: pd.DataFrame = field(repr=False)  # Φ(D) rows for every id
-    consensus: dict = field(repr=False, default_factory=dict)
-    seq_ex: SeqFeatureExtractor | None = field(repr=False, default=None)
-    spa_ex: SpaFeatureExtractor | None = field(repr=False, default=None)
+    transformed: pd.DataFrame = field(repr=False)  # the stage's Φ(D) rows, shared
+    networks: dict = field(repr=False)  # late-fusion set → its full-fit network
 
-    def transform_bundle(self, data: "PreparedData", ids: list[str]) -> pd.DataFrame:
-        """Φ(D) rows for ``ids`` of a *different* prepared bundle, using
-        this model's trained extractors and train-time consensus map.
+    def features(self, ids: list[str], data: PreparedData | None = None) -> np.ndarray:
+        """Φ(D) matrix of ``ids`` over ``feature_cols``. With ``data``,
+        the rows come from that bundle through this model's own networks:
+        cross-domain prediction (Table IIb: a PO-trained model on OAEI
+        matchers) and early identification (§IV-F: truncated histories)."""
+        rows = self.transformed if data is None else _late_fusion(data, ids, self.networks.values())
+        return rows.set_index("matcher_id").loc[ids, self.feature_cols].to_numpy(dtype=float)
 
-        Used for cross-domain prediction (Table IIb: PO-trained model on
-        OAEI matchers) and early identification (§IV-F: features from
-        truncated histories)."""
-        rows = data.features[data.features["matcher_id"].isin(ids)].copy()
-        if self.seq_ex is not None:
-            seqs = data.sequences[data.sequences["matcher_id"].isin(ids)]
-            rows = rows.merge(
-                self.seq_ex.transform(seqs, self.consensus),
-                on=["matcher_id", "task"],
-                how="left",
-            )
-        if self.spa_ex is not None:
-            rows = rows.merge(
-                self.spa_ex.transform(
-                    data.heatmaps, rows["matcher_id"].tolist(), rows["task"].tolist()
-                ),
-                on=["matcher_id", "task"],
-                how="left",
-            )
-        return rows
-
-    def predict_on(self, data: "PreparedData", ids: list[str]) -> pd.DataFrame:
-        """Predict labels for matchers of another prepared bundle."""
-        rows = self.transform_bundle(data, ids).set_index("matcher_id").loc[ids]
-        X = rows[self.feature_cols].to_numpy(dtype=float)
-        out = pd.DataFrame({"matcher_id": ids})
-        for lab in LABELS:
-            out[lab] = self.classifiers[lab].predict(X)
-        return out
-
-    def predict(self, ids: list[str]) -> pd.DataFrame:
+    def predict(self, ids: list[str], data: PreparedData | None = None) -> pd.DataFrame:
         """Binary-relevance predictions for the four expertise labels."""
-        rows = self.transformed.set_index("matcher_id").loc[ids]
-        X = rows[self.feature_cols].to_numpy(dtype=float)
+        X = self.features(ids, data)
         out = pd.DataFrame({"matcher_id": ids})
         for lab in LABELS:
             out[lab] = self.classifiers[lab].predict(X)
-        return out
-
-    def predict_proba(self, ids: list[str]) -> pd.DataFrame:
-        rows = self.transformed.set_index("matcher_id").loc[ids]
-        X = rows[self.feature_cols].to_numpy(dtype=float)
-        out = pd.DataFrame({"matcher_id": ids})
-        for lab in LABELS:
-            out[lab] = self.classifiers[lab].predict_proba(X)
         return out
 
 
@@ -334,11 +315,9 @@ class _TransformStage:
     transformed: pd.DataFrame
     label_lookup: pd.DataFrame  # labels of REAL matchers, matcher_id-indexed
     fit_ids: list[str]
-    consensus: dict
     delta_res: float
     delta_cal: float
-    seq_ex: SeqFeatureExtractor | None
-    spa_ex: SpaFeatureExtractor | None
+    networks: dict  # late-fusion set → full-fit network
 
     def labels_for(self, ids: list[str]) -> pd.DataFrame:
         """Labels for real or virtual ids (virtuals inherit the parent's)."""
@@ -351,14 +330,16 @@ def _labels_for(label_lookup: pd.DataFrame, ids: list[str]) -> pd.DataFrame:
     return rows
 
 
-def _overlay_oof(full: pd.DataFrame, oof: pd.DataFrame) -> pd.DataFrame:
-    """Replace the full-fit network coefficients with out-of-fold ones
-    for the rows that have them (the classifier-training rows)."""
-    out = full.set_index("matcher_id")
-    oof = oof.set_index("matcher_id")
-    cols = [c for c in oof.columns if c != "task"]
-    out.loc[oof.index, cols] = oof[cols]
-    return out.reset_index()
+# Seed offset of each late-fusion set's out-of-fold networks (half h is
+# seeded ``seed + offset + h``).
+_OOF_SEED = {"Seq": 7, "Spa": 13}
+
+
+def _network(name: str, consensus: dict, nn: NNParams, seed: int):
+    if name == "Seq":
+        return SeqFeatureExtractor(consensus, hidden=nn.lstm_hidden, dense=nn.lstm_dense,
+                                   epochs=nn.lstm_epochs, seed=seed)
+    return SpaFeatureExtractor(filters=nn.cnn_filters, epochs=nn.cnn_epochs, seed=seed)
 
 
 def build_transform_stage(
@@ -366,13 +347,13 @@ def build_transform_stage(
     train_ids: list[str],
     *,
     submatcher: str = "50",
-    need_seq: bool = True,
-    need_spa: bool = True,
+    include_sets: tuple[str, ...] = ALL_SETS,
     nn: NNParams = NNParams(),
     seed: int = 0,
     label_data: PreparedData | None = None,
 ) -> _TransformStage:
-    """Stage 1: thresholds, labels, consensus, late-fusion networks.
+    """Stage 1: thresholds, labels, consensus, late-fusion networks for
+    the late-fusion sets among ``include_sets``.
 
     ``label_data`` lets labels come from a different bundle than the
     features — the §IV-F early-identification setting trains on
@@ -380,13 +361,9 @@ def build_transform_stage(
     require labels for those decisions": the full-history train labels
     already exist).
     """
-    label_source = (label_data or data).measures
     # 1. cognitive thresholds + labels from the train fold (Eqs. 4–5)
-    train_meas = label_source[label_source["matcher_id"].isin(train_ids)]
-    delta_res, delta_cal = cognitive_thresholds(train_meas)
-    label_lookup = attach_labels(
-        label_source, delta_res=delta_res, delta_cal=delta_cal
-    )[["matcher_id", *LABELS]].set_index("matcher_id")
+    labels, delta_res, delta_cal = train_fold_labels((label_data or data).measures, train_ids)
+    label_lookup = labels.set_index("matcher_id")
 
     # 2. training rows: real train matchers + their sub-matchers
     fit_ids = list(train_ids) + data.sub_ids_for(train_ids, submatcher)
@@ -401,79 +378,28 @@ def build_transform_stage(
     # the fit set is split in halves, a network trained on each half
     # scores the other, while the final full-fit networks score all
     # remaining (test-time) rows.
-    transformed = data.features.copy()
+    sets = [s for s in _OOF_SEED if s in include_sets]
     fit_labels = _labels_for(label_lookup, fit_ids)
-    rng = np.random.default_rng(seed + 101)
-    order = rng.permutation(len(fit_ids))
+    networks = {s: _network(s, consensus, nn, seed).fit(data, fit_labels) for s in sets}
+    transformed = _late_fusion(data, list(data.features["matcher_id"]), networks.values())
+    transformed = transformed.set_index("matcher_id")
+    order = np.random.default_rng(seed + 101).permutation(len(fit_ids))
+    half = len(fit_ids) // 2
+    halves = [[fit_ids[i] for i in part] for part in (order[:half], order[half:])]
     use_oof = len(fit_ids) >= 8  # tiny test fixtures skip cross-fitting
-    halves = [
-        [fit_ids[i] for i in order[: len(fit_ids) // 2]],
-        [fit_ids[i] for i in order[len(fit_ids) // 2 :]],
-    ]
-    seq_ex = spa_ex = None
-    if need_seq:
-        seq_ex = SeqFeatureExtractor(
-            hidden=nn.lstm_hidden, dense=nn.lstm_dense, epochs=nn.lstm_epochs,
-            max_len=nn.max_len, seed=seed,
-        )
-        fit_seqs = data.sequences[data.sequences["matcher_id"].isin(fit_ids)]
-        seq_ex.fit(fit_seqs, fit_labels, consensus, LABELS)
-        seq_feats = seq_ex.transform(data.sequences, consensus)
-        oof_parts = []
-        for h in (0, 1) if use_oof else ():
-            tr_h, te_h = halves[h], halves[1 - h]
-            ex_h = SeqFeatureExtractor(
-                hidden=nn.lstm_hidden, dense=nn.lstm_dense, epochs=nn.lstm_epochs,
-                max_len=nn.max_len, seed=seed + 7 + h,
-            )
-            ex_h.fit(
-                fit_seqs[fit_seqs["matcher_id"].isin(tr_h)],
-                _labels_for(label_lookup, tr_h),
-                consensus,
-                LABELS,
-            )
-            oof_parts.append(
-                ex_h.transform(
-                    data.sequences[data.sequences["matcher_id"].isin(te_h)], consensus
-                )
-            )
-        if oof_parts:
-            seq_feats = _overlay_oof(seq_feats, pd.concat(oof_parts, ignore_index=True))
-        transformed = transformed.merge(seq_feats, on=["matcher_id", "task"], how="left")
-    if need_spa:
-        spa_ex = SpaFeatureExtractor(
-            grid=data.grid, filters=nn.cnn_filters, epochs=nn.cnn_epochs, seed=seed
-        )
-        spa_ex.fit(data.heatmaps, fit_labels, LABELS)
-        spa_feats = spa_ex.transform(
-            data.heatmaps,
-            transformed["matcher_id"].tolist(),
-            transformed["task"].tolist(),
-        )
-        oof_parts = []
-        for h in (0, 1) if use_oof else ():
-            tr_h, te_h = halves[h], halves[1 - h]
-            ex_h = SpaFeatureExtractor(
-                grid=data.grid, filters=nn.cnn_filters, epochs=nn.cnn_epochs,
-                seed=seed + 13 + h,
-            )
-            ex_h.fit(data.heatmaps, _labels_for(label_lookup, tr_h), LABELS)
-            te_tasks = (
-                transformed.set_index("matcher_id")["task"].loc[te_h].tolist()
-            )
-            oof_parts.append(ex_h.transform(data.heatmaps, te_h, te_tasks))
-        if oof_parts:
-            spa_feats = _overlay_oof(spa_feats, pd.concat(oof_parts, ignore_index=True))
-        transformed = transformed.merge(spa_feats, on=["matcher_id", "task"], how="left")
+    for s in sets if use_oof else ():
+        for h in (0, 1):
+            net = _network(s, consensus, nn, seed + _OOF_SEED[s] + h)
+            net.fit(data, _labels_for(label_lookup, halves[h]))
+            oof = _late_fusion(data, halves[1 - h], [net]).set_index("matcher_id")
+            transformed.loc[oof.index, FEATURE_SETS[s]] = oof[FEATURE_SETS[s]]
     return _TransformStage(
-        transformed=transformed,
+        transformed=transformed.reset_index(),
         label_lookup=label_lookup,
         fit_ids=fit_ids,
-        consensus=consensus,
         delta_res=delta_res,
         delta_cal=delta_cal,
-        seq_ex=seq_ex,
-        spa_ex=spa_ex,
+        networks=networks,
     )
 
 
@@ -500,12 +426,8 @@ def fit_from_stage(
         include_sets=tuple(include_sets),
         feature_cols=feature_cols,
         classifiers=classifiers,
-        delta_res=stage.delta_res,
-        delta_cal=stage.delta_cal,
         transformed=stage.transformed,
-        consensus=stage.consensus,
-        seq_ex=stage.seq_ex if "Seq" in include_sets else None,
-        spa_ex=stage.spa_ex if "Spa" in include_sets else None,
+        networks={s: net for s, net in stage.networks.items() if s in include_sets},
     )
 
 
@@ -525,12 +447,6 @@ def train_mexi(
     Table III and the mechanism behind the LRSM/BEH baselines.
     """
     stage = build_transform_stage(
-        data,
-        train_ids,
-        submatcher=submatcher,
-        need_seq="Seq" in include_sets,
-        need_spa="Spa" in include_sets,
-        nn=nn,
-        seed=seed,
+        data, train_ids, submatcher=submatcher, include_sets=include_sets, nn=nn, seed=seed
     )
     return fit_from_stage(stage, tuple(include_sets), seed=seed)

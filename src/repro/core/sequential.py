@@ -17,6 +17,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
+from repro.core.measures import LABELS
 from repro.ml.lstm import LSTMClassifier
 
 __all__ = [
@@ -25,9 +26,11 @@ __all__ = [
     "SeqFeatureExtractor",
     "SEQ_CHANNELS",
     "LABEL_SHORT",
+    "MAX_LEN",
 ]
 
 SEQ_CHANNELS = ["conf", "time", "consensus"]
+MAX_LEN = 70  # the LSTMs read the first MAX_LEN steps of a sequence
 LABEL_SHORT = {"E_P": "P", "E_R": "R", "E_Res": "Res", "E_Cal": "Cal"}
 
 
@@ -79,68 +82,56 @@ def _channel_seq(row: pd.Series, channel: str, consensus: dict) -> np.ndarray:
             [consensus.get((i, j), 0) for i, j in zip(row["rows"], row["cols"])],
             dtype=float,
         )
-    return v.reshape(-1, 1)
+    return v.reshape(-1, 1)[:MAX_LEN]
 
 
 class SeqFeatureExtractor:
-    """Trains one LSTM per channel; emits 12 late-fusion features."""
+    """Trains one LSTM per channel; emits the 12 Φ_Seq late-fusion features.
 
-    def __init__(self, *, hidden: int = 64, dense: int = 100, epochs: int = 40,
-                 max_len: int = 70, seed: int = 0) -> None:
+    ``consensus`` is the train-fold map π (see :func:`consensus_map`); it
+    feeds the consensus channel both when fitting and when transforming.
+    """
+
+    def __init__(self, consensus: dict, *, hidden: int = 64, dense: int = 100,
+                 epochs: int = 40, seed: int = 0) -> None:
+        self.consensus = consensus
         self.hidden = hidden
         self.dense = dense
         self.epochs = epochs
-        self.max_len = max_len
         self.seed = seed
         self.models: dict[str, LSTMClassifier] = {}
-        self.labels_: list[str] = []
 
-    def feature_names(self) -> list[str]:
-        return [
-            f"seq_{ch} ({LABEL_SHORT[lab]})"
-            for ch in SEQ_CHANNELS
-            for lab in self.labels_
-        ]
+    def _channel(self, sequences: pd.DataFrame, channel: str) -> list[np.ndarray]:
+        return [_channel_seq(row, channel, self.consensus) for _, row in sequences.iterrows()]
 
-    def fit(
-        self,
-        sequences: pd.DataFrame,
-        labels: pd.DataFrame,
-        consensus: dict,
-        label_cols: list[str],
-    ) -> "SeqFeatureExtractor":
-        """``sequences`` from :func:`decision_sequences`; ``labels`` has a
-        matcher_id column plus the binary ``label_cols``."""
-        self.labels_ = list(label_cols)
-        joined = sequences.merge(labels[["matcher_id", *label_cols]], on="matcher_id")
-        Y = joined[label_cols].to_numpy(dtype=float)
+    def fit(self, bundle, labels: pd.DataFrame) -> "SeqFeatureExtractor":
+        """Train on the ids of ``labels`` (matcher_id + :data:`LABELS`),
+        reading their sequences from ``bundle.sequences`` (the columns of
+        :func:`decision_sequences`), in bundle order."""
+        joined = bundle.sequences.merge(labels[["matcher_id", *LABELS]], on="matcher_id")
+        Y = joined[LABELS].to_numpy(dtype=float)
         for ci, ch in enumerate(SEQ_CHANNELS):
-            seqs = [
-                _channel_seq(row, ch, consensus)[: self.max_len]
-                for _, row in joined.iterrows()
-            ]
             m = LSTMClassifier(
                 1,
-                len(label_cols),
+                len(LABELS),
                 hidden=self.hidden,
                 dense=self.dense,
                 epochs=self.epochs,
                 seed=self.seed + ci,
             )
-            m.fit(seqs, Y)
+            m.fit(self._channel(joined, ch), Y)
             self.models[ch] = m
         return self
 
-    def transform(self, sequences: pd.DataFrame, consensus: dict) -> pd.DataFrame:
+    def transform(self, bundle, ids: list[str]) -> pd.DataFrame:
+        """matcher_id + the 12 coefficients for the ``ids`` of
+        ``bundle.sequences``, in bundle order."""
         if not self.models:
             raise RuntimeError("fit() first")
-        out = sequences[["matcher_id", "task"]].copy()
+        seqs = bundle.sequences[bundle.sequences["matcher_id"].isin(ids)]
+        out = seqs[["matcher_id"]].copy()
         for ch in SEQ_CHANNELS:
-            seqs = [
-                _channel_seq(row, ch, consensus)[: self.max_len]
-                for _, row in sequences.iterrows()
-            ]
-            P = self.models[ch].predict_proba(seqs)
-            for li, lab in enumerate(self.labels_):
+            P = self.models[ch].predict_proba(self._channel(seqs, ch))
+            for li, lab in enumerate(LABELS):
                 out[f"seq_{ch} ({LABEL_SHORT[lab]})"] = P[:, li]
         return out

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from repro.core.measures import LABELS
 from repro.core.sequential import LABEL_SHORT
 from repro.ml.cnn import CNNClassifier
 
@@ -31,58 +32,45 @@ def heatmap_tensors(hm_counts: pd.DataFrame, *, grid: int) -> dict[tuple[str, st
 
 
 class SpaFeatureExtractor:
-    """Trains one CNN per movement type; emits 16 late-fusion features."""
+    """Trains one CNN per movement type; emits the 16 Φ_Spa late-fusion
+    features."""
 
-    def __init__(self, *, grid: int = 24, filters: int = 8, epochs: int = 60, seed: int = 0) -> None:
-        self.grid = grid
+    def __init__(self, *, filters: int = 8, epochs: int = 60, seed: int = 0) -> None:
         self.filters = filters
         self.epochs = epochs
         self.seed = seed
         self.models: dict[str, CNNClassifier] = {}
-        self.labels_: list[str] = []
 
-    def feature_names(self) -> list[str]:
-        return [
-            f"spa_{ETYPE_NAMES[e]} ({LABEL_SHORT[lab]})"
-            for e in ETYPE_NAMES
-            for lab in self.labels_
-        ]
+    @staticmethod
+    def _stack(bundle, ids: list[str], etype: str) -> np.ndarray:
+        zero = np.zeros((bundle.grid, bundle.grid))  # a matcher without events of this type
+        return np.stack([bundle.heatmaps.get((mid, etype), zero) for mid in ids])
 
-    def _stack(self, tensors: dict, ids: list[str], etype: str) -> np.ndarray:
-        zero = np.zeros((self.grid, self.grid))
-        return np.stack([tensors.get((mid, etype), zero) for mid in ids])
-
-    def fit(
-        self,
-        tensors: dict[tuple[str, str], np.ndarray],
-        labels: pd.DataFrame,
-        label_cols: list[str],
-    ) -> "SpaFeatureExtractor":
-        self.labels_ = list(label_cols)
+    def fit(self, bundle, labels: pd.DataFrame) -> "SpaFeatureExtractor":
+        """Train on the ids of ``labels`` (matcher_id + :data:`LABELS`), in
+        that order, reading their ``bundle.grid``-sized maps from
+        ``bundle.heatmaps`` (see :func:`heatmap_tensors`)."""
         ids = labels["matcher_id"].tolist()
-        Y = labels[label_cols].to_numpy(dtype=float)
+        Y = labels[LABELS].to_numpy(dtype=float)
         for ei, etype in enumerate(ETYPE_NAMES):
-            X = self._stack(tensors, ids, etype)
             m = CNNClassifier(
-                self.grid,
-                len(label_cols),
+                bundle.grid,
+                len(LABELS),
                 filters=self.filters,
                 epochs=self.epochs,
                 seed=self.seed + ei,
             )
-            m.fit(X, Y)
+            m.fit(self._stack(bundle, ids, etype), Y)
             self.models[etype] = m
         return self
 
-    def transform(
-        self, tensors: dict[tuple[str, str], np.ndarray], ids: list[str], tasks: list[str]
-    ) -> pd.DataFrame:
+    def transform(self, bundle, ids: list[str]) -> pd.DataFrame:
+        """matcher_id + the 16 coefficients for ``ids``, in that order."""
         if not self.models:
             raise RuntimeError("fit() first")
-        out = pd.DataFrame({"matcher_id": ids, "task": tasks})
+        out = pd.DataFrame({"matcher_id": list(ids)})
         for etype, name in ETYPE_NAMES.items():
-            X = self._stack(tensors, ids, etype)
-            P = self.models[etype].predict_proba(X)
-            for li, lab in enumerate(self.labels_):
+            P = self.models[etype].predict_proba(self._stack(bundle, ids, etype))
+            for li, lab in enumerate(LABELS):
                 out[f"spa_{name} ({LABEL_SHORT[lab]})"] = P[:, li]
         return out

@@ -7,7 +7,7 @@ Two pipelines:
    (Figs. 10–11 as a table).
 2. :func:`fused_match` — the distributed ETL filtering path: every
    correspondence proposed by a selected expert is scored by a pandas
-   UDF (confidence vote, optionally bias-corrected by the matcher's
+   UDF (confidence vote, bias-corrected by the matcher's
    measured calibration, after Ipeirotis et al. as §II-B suggests),
    votes are aggregated per correspondence, and majority-supported
    correspondences form the fused match, evaluated against M^e.
@@ -25,6 +25,8 @@ from repro.core.measures import LABELS
 from repro.core.mexi import PreparedData
 
 __all__ = ["select_experts", "performance_table", "fused_match"]
+
+VOTE_FRAC = 0.5  # fused-match threshold, relative to the strongest pair's vote
 
 
 def select_experts(preds: pd.DataFrame) -> list[str]:
@@ -74,18 +76,16 @@ def fused_match(
     spark: SparkSession,
     data: PreparedData,
     selected_ids: list[str],
-    *,
-    vote_frac: float = 0.5,
-    bias_correct: bool = True,
 ) -> dict[str, float]:
     """Fuse the selected matchers' correspondences into one match.
 
     Correspondence-level filtering before aggregation: each selected
     matcher's Eq. 1 matrix is built from its raw history and its entries
-    are scored inside a grouped pandas UDF — the vote is the reported confidence, shifted by the matcher's
-    measured calibration when ``bias_correct`` (an under-confident
-    expert's 0.4 may really mean 0.6, §II-B). A correspondence enters
-    the fused match when its summed vote reaches ``vote_frac`` of the
+    are scored inside a grouped pandas UDF — the vote is the reported
+    confidence, shifted by the matcher's measured calibration (an
+    under-confident expert's 0.4 may really mean 0.6, §II-B). A
+    correspondence enters the fused match when its summed vote reaches
+    :data:`VOTE_FRAC` of the
     strongest correspondence's vote. The threshold is *relative* because
     a matcher only addresses a subset of the pair space (limited
     attention span, §II-B): with a large selection even a universally-
@@ -98,9 +98,7 @@ def fused_match(
     decisions = spark.createDataFrame(
         cohort.decisions[cohort.decisions["matcher_id"].isin(selected_ids)]
     )
-    cal_by_matcher = (
-        data.measures.set_index("matcher_id")["cal"].to_dict() if bias_correct else {}
-    )
+    cal_by_matcher = data.measures.set_index("matcher_id")["cal"].to_dict()
 
     def _score(history: pd.DataFrame) -> pd.DataFrame:
         entries = final_entries(history)  # Eq. 1 over the raw history
@@ -119,7 +117,7 @@ def fused_match(
     scored = decisions.groupBy("matcher_id").applyInPandas(_score, schema=_SCORE_SCHEMA)
     votes = scored.toPandas().groupby(["row_i", "col_j"])["vote"].sum()
     max_vote = float(votes.max()) if len(votes) else 0.0
-    fused = votes[votes >= vote_frac * max_vote].index
+    fused = votes[votes >= VOTE_FRAC * max_vote].index
     ref = cohort.task.reference_pairs
     n_pairs = len(fused)
     n_correct = sum(pair in ref for pair in fused)

@@ -21,7 +21,7 @@ from repro.core.evaluate import (
     kfold_ids,
 )
 from repro.core.importance import permutation_importance, top_features
-from repro.core.measures import LABELS, attach_labels, cognitive_thresholds
+from repro.core.measures import LABELS, attach_labels, cognitive_thresholds, train_fold_labels
 from repro.core.mexi import (  # noqa: F401 (MExIModel re-exported)
     MExIModel,
     NNParams,
@@ -47,6 +47,7 @@ __all__ = [
 
 MEXI_VARIANTS = {"MExI_none": "none", "MExI_50": "50", "MExI_70": "70"}
 ABLATION_SETS = ["LRSM", "Mou", "Beh", "Seq", "Spa"]
+REFERENCE_METHOD = "LRSM"  # Table II's significance stars compare against it
 
 
 @dataclass
@@ -66,10 +67,8 @@ class POExperiment:
 
 def _truth_for(data: PreparedData, train_ids: list[str], ids: list[str]) -> pd.DataFrame:
     """Ground-truth labels for ``ids`` with thresholds from ``train_ids``."""
-    train_meas = data.measures[data.measures["matcher_id"].isin(train_ids)]
-    d_res, d_cal = cognitive_thresholds(train_meas)
-    lab = attach_labels(data.measures, delta_res=d_res, delta_cal=d_cal)
-    return lab[lab["matcher_id"].isin(ids)][["matcher_id", *LABELS]]
+    lab, _, _ = train_fold_labels(data.measures, train_ids)
+    return lab[lab["matcher_id"].isin(ids)]
 
 
 def run_po_experiment(
@@ -137,7 +136,6 @@ def _accuracy_table(
     truth_by_fold: list[pd.DataFrame],
     preds: dict[str, list[pd.DataFrame]],
     *,
-    reference_method: str = "LRSM",
     seed: int = 0,
 ) -> pd.DataFrame:
     """Table II layout: per-method mean accuracies over folds plus a
@@ -145,8 +143,8 @@ def _accuracy_table(
     truth_all = _pooled(truth_by_fold)
     rows = []
     ref_scores = (
-        _method_scores(truth_all, _pooled(preds[reference_method]))
-        if reference_method in preds
+        _method_scores(truth_all, _pooled(preds[REFERENCE_METHOD]))
+        if REFERENCE_METHOD in preds
         else None
     )
     for method, fold_preds in preds.items():
@@ -154,7 +152,7 @@ def _accuracy_table(
         row = {"method": method}
         for metric in ["A_P", "A_R", "A_Res", "A_Cal", "A_ML"]:
             row[metric] = float(np.mean([f[metric] for f in per_fold]))
-        if ref_scores is not None and method != reference_method:
+        if ref_scores is not None and method != REFERENCE_METHOD:
             scores = _method_scores(truth_all, _pooled(fold_preds))
             row["sig_vs_LRSM"] = all(
                 bootstrap_pvalue(scores[m], ref_scores[m], seed=seed) < 0.05
@@ -190,10 +188,8 @@ def table2b(
     tr = data_po.full_ids
     te = data_oa.full_ids
     # ground truth for OAEI matchers with thresholds from the PO train set
-    train_meas = data_po.measures[data_po.measures["matcher_id"].isin(tr)]
-    d_res, d_cal = cognitive_thresholds(train_meas)
-    truth = attach_labels(data_oa.measures, delta_res=d_res, delta_cal=d_cal)
-    truth = truth[truth["matcher_id"].isin(te)][["matcher_id", *LABELS]]
+    truth, _, _ = train_fold_labels(data_po.measures, tr, data_oa.measures)
+    truth = truth[truth["matcher_id"].isin(te)]
     train_labels = _truth_for(data_po, tr, tr)
 
     preds: dict[str, list[pd.DataFrame]] = {}
@@ -204,7 +200,7 @@ def table2b(
     for name, spec in MEXI_VARIANTS.items():
         stage = build_transform_stage(data_po, tr, submatcher=spec, nn=nn, seed=seed)
         model = fit_from_stage(stage, ("LRSM", "Mou", "Beh", "Seq", "Spa"), seed=seed)
-        preds[name] = [model.predict_on(data_oa, te)]
+        preds[name] = [model.predict(te, data=data_oa)]
     return _accuracy_table([truth], preds, seed=seed)
 
 

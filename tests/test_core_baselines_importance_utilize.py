@@ -10,7 +10,7 @@ from repro.core.mexi import NNParams, prepare, train_mexi
 from repro.core.utilize import fused_match, performance_table, select_experts
 from repro.humansim import build_cohort
 
-_NN = NNParams(lstm_hidden=6, lstm_dense=6, lstm_epochs=3, cnn_filters=3, cnn_epochs=3, grid=12)
+_NN = NNParams(lstm_hidden=6, lstm_dense=6, lstm_epochs=3, cnn_filters=3, cnn_epochs=3)
 
 
 @pytest.fixture(scope="module")
@@ -127,7 +127,7 @@ class TestImportance:
             include_sets=("LRSM",),
             feature_cols=["lrsm_dom", "lrsm_pca1"],
             classifiers={lab: clf for lab in LABELS},
-            delta_res=0.0, delta_cal=0.0, transformed=X,
+            transformed=X, networks={},
         )
         truth = pd.DataFrame({"matcher_id": X["matcher_id"]})
         for lab in LABELS:

@@ -1,8 +1,11 @@
 """MExI end-to-end: prepare, transform stage, training, prediction."""
+import dataclasses
+
 import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core.evaluate import kfold_ids
 from repro.core.features import ALL_SETS, FEATURE_SETS
 from repro.core.measures import LABELS
 from repro.core.mexi import (
@@ -15,7 +18,7 @@ from repro.core.mexi import (
 from repro.core.submatchers import is_sub
 from repro.humansim import build_cohort
 
-_NN = NNParams(lstm_hidden=6, lstm_dense=6, lstm_epochs=3, cnn_filters=3, cnn_epochs=3, grid=12)
+_NN = NNParams(lstm_hidden=6, lstm_dense=6, lstm_epochs=3, cnn_filters=3, cnn_epochs=3)
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +85,29 @@ class TestTransformStage:
         assert isinstance(stage.delta_res, float)
         assert isinstance(stage.delta_cal, float)
 
+    def test_fit_rows_carry_out_of_fold_coefficients(self, stage, data, split):
+        """Fit rows hold the out-of-fold networks' coefficients, so they
+        differ from what the full-fit networks give them; every other row
+        holds exactly the full-fit coefficients."""
+        _, te = split
+        rows = stage.transformed.set_index("matcher_id")
+        assert set(stage.networks) == {"Seq", "Spa"}
+        for name, net in stage.networks.items():
+            cols = FEATURE_SETS[name]
+            full = net.transform(data, data.features["matcher_id"].tolist())
+            full = full.set_index("matcher_id")[cols]
+            pd.testing.assert_frame_equal(rows.loc[te, cols], full.loc[te], check_exact=True)
+            differs = (rows.loc[stage.fit_ids, cols] != full.loc[stage.fit_ids]).any(axis=1)
+            assert differs.all(), name
+
+    def test_rows_of_own_bundle_equal_stage_rows(self, stage, data, split):
+        """Rebuilding the Φ(D) rows of non-fit ids from the bundle gives
+        the stage's rows bit for bit, in every feature column."""
+        _, te = split
+        model = fit_from_stage(stage, ALL_SETS, seed=0)
+        assert model.feature_cols == [c for s in ALL_SETS for c in FEATURE_SETS[s]]
+        np.testing.assert_array_equal(model.features(te, data), model.features(te))
+
 
 class TestTrainPredict:
     @pytest.fixture(scope="class")
@@ -104,20 +130,22 @@ class TestTrainPredict:
 
     def test_predict_proba_in_range(self, model, split):
         _, te = split
-        p = model.predict_proba(te)
-        assert ((p[LABELS] >= 0) & (p[LABELS] <= 1)).all().all()
+        X = model.features(te)
+        for lab in LABELS:
+            p = model.classifiers[lab].predict_proba(X)
+            assert ((p >= 0) & (p <= 1)).all()
 
     def test_predict_on_same_bundle_consistent(self, model, data, split):
         _, te = split
         direct = model.predict(te)
-        via_bundle = model.predict_on(data, te)
+        via_bundle = model.predict(te, data=data)
         pd.testing.assert_frame_equal(direct, via_bundle)
 
     def test_include_sets_restrict_columns(self, data, split):
         tr, te = split
         m = train_mexi(data, tr, submatcher="none", include_sets=("LRSM",), nn=_NN, seed=0)
         assert set(m.feature_cols) == set(FEATURE_SETS["LRSM"])
-        assert m.seq_ex is None and m.spa_ex is None
+        assert m.networks == {}
 
     def test_unknown_set_raises(self, data, split):
         tr, _ = split
@@ -126,7 +154,9 @@ class TestTrainPredict:
 
     def test_submatcher_spec_changes_fit_rows(self, data, split):
         tr, _ = split
-        s_none = build_transform_stage(data, tr, submatcher="none", need_seq=False, need_spa=False, nn=_NN)
+        s_none = build_transform_stage(
+            data, tr, submatcher="none", include_sets=("LRSM", "Beh", "Mou"), nn=_NN
+        )
         # the prepared bundle only materialized 20-windows, so both named
         # specs resolve to no extra rows here; the fit id bookkeeping
         # must still be exact
@@ -158,6 +188,26 @@ class TestEarlyBundle:
         model = train_mexi(data, tr, submatcher="none", nn=_NN, seed=0)
         early = prepare(spark, data.cohort, sub_sizes=[], n_perm=10, grid=12,
                         decision_limit=12, seed=0)
-        p = model.predict_on(early, te)
+        p = model.predict(te, data=early)
         assert len(p) == len(te)
         assert p[LABELS].isin([0, 1]).all().all()
+
+
+class TestDroppedMatcher:
+    def test_matcher_without_measures_leaves_the_folds(self, spark):
+        """A matcher whose every decision the §IV-A preprocessing drops
+        (three decisions) has no measures row: it is not in ``full_ids``,
+        and no train fold asks for its labels."""
+        c = build_cohort("PO", n_matchers=9, seed=5)
+        dec = c.decisions
+        cut = dec[dec["matcher_id"] == "po_004"].sort_values(["t", "step"]).head(3)
+        c = dataclasses.replace(
+            c, decisions=pd.concat([dec[dec["matcher_id"] != "po_004"], cut], ignore_index=True)
+        )
+        data = prepare(spark, c, sub_sizes=[], n_perm=10, grid=12, seed=0)
+        assert data.full_ids == [m for m in c.matcher_ids if m != "po_004"]
+        for tr, _ in kfold_ids(data.full_ids, k=3, seed=0):
+            stage = build_transform_stage(
+                data, tr, submatcher="none", include_sets=("LRSM",), nn=_NN, seed=0
+            )
+            assert stage.fit_ids == tr

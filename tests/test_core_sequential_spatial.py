@@ -1,8 +1,11 @@
 """Φ_Seq (LSTM late fusion) and Φ_Spa (CNN late fusion) extractors."""
+from types import SimpleNamespace
+
 import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core.features import FEATURE_SETS
 from repro.core.measures import LABELS
 from repro.core.mouse import heatmap_counts
 from repro.core.sequential import (
@@ -78,24 +81,27 @@ class TestConsensus:
 class TestSeqExtractor:
     @pytest.fixture(scope="class")
     def fitted(self, seqs, labels):
-        ex = SeqFeatureExtractor(hidden=4, dense=4, epochs=2, seed=0)
-        ex.fit(seqs, labels, consensus={}, label_cols=LABELS)
+        ex = SeqFeatureExtractor({}, hidden=4, dense=4, epochs=2, seed=0)
+        ex.fit(SimpleNamespace(sequences=seqs), labels)
         return ex
 
     def test_feature_names(self, fitted):
-        names = fitted.feature_names()
+        names = FEATURE_SETS["Seq"]
         assert len(names) == len(SEQ_CHANNELS) * len(LABELS)
         assert "seq_conf (P)" in names and "seq_consensus (Cal)" in names
 
     def test_transform_shape_and_range(self, fitted, seqs):
-        out = fitted.transform(seqs, consensus={})
+        out = fitted.transform(SimpleNamespace(sequences=seqs), seqs["matcher_id"].tolist())
         assert len(out) == len(seqs)
-        vals = out[fitted.feature_names()].to_numpy()
+        assert list(out.columns) == ["matcher_id", *FEATURE_SETS["Seq"]]
+        vals = out[FEATURE_SETS["Seq"]].to_numpy()
         assert ((vals >= 0) & (vals <= 1)).all()
 
     def test_transform_before_fit_raises(self, seqs):
         with pytest.raises(RuntimeError):
-            SeqFeatureExtractor().transform(seqs, consensus={})
+            SeqFeatureExtractor({}).transform(
+                SimpleNamespace(sequences=seqs), seqs["matcher_id"].tolist()
+            )
 
     def test_learns_confidence_signal(self, spark):
         """Labels derived from mean confidence are recoverable by the
@@ -107,9 +113,10 @@ class TestSeqExtractor:
         y = np.array([float(s.mean() > med) for s in seqs["confs"]])
         for l in LABELS:
             lab[l] = y.astype(int)
-        ex = SeqFeatureExtractor(hidden=8, dense=8, epochs=40, seed=0)
-        ex.fit(seqs, lab, consensus={}, label_cols=LABELS)
-        out = ex.transform(seqs, consensus={})
+        ex = SeqFeatureExtractor({}, hidden=8, dense=8, epochs=40, seed=0)
+        bundle = SimpleNamespace(sequences=seqs)
+        ex.fit(bundle, lab)
+        out = ex.transform(bundle, seqs["matcher_id"].tolist())
         pred = (out["seq_conf (P)"].to_numpy() > 0.5).astype(float)
         assert (pred == y).mean() > 0.8
 
@@ -128,22 +135,25 @@ class TestSpaExtractor:
         assert sum(img.sum() for img in tensors.values()) == n_events
 
     def test_fit_transform(self, tensors, labels, cohort):
-        ex = SpaFeatureExtractor(grid=12, filters=3, epochs=2, seed=0)
-        ex.fit(tensors, labels, LABELS)
+        bundle = SimpleNamespace(heatmaps=tensors, grid=12)
+        ex = SpaFeatureExtractor(filters=3, epochs=2, seed=0)
+        ex.fit(bundle, labels)
         ids = cohort.matcher_ids
-        out = ex.transform(tensors, ids, ["PO"] * len(ids))
+        out = ex.transform(bundle, ids)
         assert len(out) == len(ids)
-        assert len(ex.feature_names()) == len(ETYPE_NAMES) * len(LABELS)
-        assert "spa_SMouse (Res)" in ex.feature_names()
-        vals = out[ex.feature_names()].to_numpy()
+        assert list(out.columns) == ["matcher_id", *FEATURE_SETS["Spa"]]
+        assert len(FEATURE_SETS["Spa"]) == len(ETYPE_NAMES) * len(LABELS)
+        assert "spa_SMouse (Res)" in FEATURE_SETS["Spa"]
+        vals = out[FEATURE_SETS["Spa"]].to_numpy()
         assert ((vals >= 0) & (vals <= 1)).all()
 
     def test_missing_tensor_is_zero_image(self, tensors, labels, cohort):
-        ex = SpaFeatureExtractor(grid=12, filters=3, epochs=1, seed=0)
-        ex.fit(tensors, labels, LABELS)
-        out = ex.transform(tensors, ["ghost_matcher"], ["PO"])
-        assert np.isfinite(out[ex.feature_names()].to_numpy()).all()
+        bundle = SimpleNamespace(heatmaps=tensors, grid=12)
+        ex = SpaFeatureExtractor(filters=3, epochs=1, seed=0)
+        ex.fit(bundle, labels)
+        out = ex.transform(bundle, ["ghost_matcher"])
+        assert np.isfinite(out[FEATURE_SETS["Spa"]].to_numpy()).all()
 
     def test_transform_before_fit_raises(self, tensors):
         with pytest.raises(RuntimeError):
-            SpaFeatureExtractor(grid=12).transform(tensors, ["x"], ["PO"])
+            SpaFeatureExtractor().transform(SimpleNamespace(heatmaps=tensors, grid=12), ["x"])

@@ -15,7 +15,7 @@ from repro.experiments import (
     utilization_tables,
 )
 
-_NN = NNParams(lstm_hidden=8, lstm_dense=8, lstm_epochs=3, cnn_filters=3, cnn_epochs=3, grid=12)
+_NN = NNParams(lstm_hidden=8, lstm_dense=8, lstm_epochs=3, cnn_filters=3, cnn_epochs=3)
 
 
 @pytest.fixture(scope="module")
