@@ -25,7 +25,10 @@ item:
 
 ``compare`` prints, per item, whether the two dumps are
 ``DataFrame.equals`` with the same columns and dtypes, and exits 1 if
-any item differs or is missing.
+any item differs or is missing. For an item whose values differ it also
+prints how many rows differ and, per numeric column, the largest
+absolute difference, so a change that is not bit-equal says how far off
+it is.
 
 Run (the hash seed is fixed to 0, re-executing if needed, because the
 cohort depends on it; about a minute on 4 cores):
@@ -44,6 +47,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pandas as pd
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -168,6 +172,28 @@ def dump(out: Path) -> None:
     print(f"{len(items)} items in {out} ({time.time() - t0:.1f} s)")
 
 
+def _value_diff(fa: pd.DataFrame, fb: pd.DataFrame) -> str:
+    """Differing rows of two frames with the same columns, and the largest
+    absolute difference of each numeric column that differs."""
+    if len(fa) != len(fb):
+        return f"{len(fa)} vs {len(fb)} rows"
+    fa, fb = fa.reset_index(drop=True), fb.reset_index(drop=True)
+    rows = np.zeros(len(fa), dtype=bool)
+    worst = []
+    for col in fa.columns:
+        x, y = fa[col], fb[col]
+        if pd.api.types.is_numeric_dtype(x) and not pd.api.types.is_bool_dtype(x):
+            xv, yv = x.to_numpy(dtype=float), y.to_numpy(dtype=float)
+            diff = ~((xv == yv) | (np.isnan(xv) & np.isnan(yv)))
+            if diff.any():
+                worst.append(f"{col} {np.abs(xv - yv)[diff].max():.3g}")
+        else:
+            diff = (x.astype(str) != y.astype(str)).to_numpy()
+        rows |= diff
+    out = f"{rows.sum()} of {len(rows)} rows differ"
+    return out + (f"; max |diff|: {', '.join(worst)}" if worst else "")
+
+
 def compare(a: Path, b: Path) -> int:
     names = sorted({p.stem for p in a.glob("*.pkl")} | {p.stem for p in b.glob("*.pkl")})
     bad = 0
@@ -182,7 +208,7 @@ def compare(a: Path, b: Path) -> int:
             elif not fa.dtypes.equals(fb.dtypes):
                 verdict = "DIFFERENT dtypes"
             elif not fa.equals(fb):
-                verdict = "DIFFERENT values"
+                verdict = "DIFFERENT values (" + _value_diff(fa, fb) + ")"
             else:
                 verdict = "equal"
         bad += verdict != "equal"

@@ -14,8 +14,10 @@
   feature sets (Φ_Beh + Φ_Mou).
 
 The learning-based baselines reuse the MExI trainer restricted to the
-relevant feature sets (no sub-matchers, no networks), which also makes
-them exactly the ``include``-rows of the Table III ablation.
+relevant feature sets, fit on the real train matchers only (no
+sub-matchers, no networks). They are therefore not the ``include``-rows
+of the Table III ablation, which refit on the MExI_50 stage and so also
+train on its sub-matcher rows.
 """
 from __future__ import annotations
 

@@ -39,7 +39,7 @@ from repro.core.extract import (
 )
 from repro.core.features import ALL_SETS, FEATURE_SETS
 from repro.core.measures import LABELS, MEASURE_COLUMNS, train_fold_labels
-from repro.core.sequential import SeqFeatureExtractor
+from repro.core.sequential import SeqFeatureExtractor, consensus_map
 from repro.core.spatial import SpaFeatureExtractor, heatmap_tensors
 from repro.core.submatchers import is_sub, parent_of, spec_of, submatcher_sizes
 from repro.humansim.cohort import Cohort
@@ -171,12 +171,6 @@ def prepare(
         warmup_measures=_ints(warmup[MEASURE_COLUMNS]),
         grid=grid,
     )
-
-
-def _consensus_from_entries(matrix_entries: pd.DataFrame, train_ids: list[str]) -> dict:
-    sub = matrix_entries[matrix_entries["matcher_id"].isin(train_ids)]
-    counts = sub.groupby(["row_i", "col_j"])["matcher_id"].nunique()
-    return {(int(i), int(j)): int(n) for (i, j), n in counts.items()}
 
 
 class _Constant:
@@ -369,7 +363,7 @@ def build_transform_stage(
     fit_ids = list(train_ids) + data.sub_ids_for(train_ids, submatcher)
 
     # 3. train-only consensus for the sequential channel
-    consensus = _consensus_from_entries(data.matrix_entries, train_ids)
+    consensus = consensus_map(data.matrix_entries, train_ids)
 
     # 4. late fusion: train networks on fit rows, transform every id.
     # The classifier must NOT see the networks' optimistic predictions on

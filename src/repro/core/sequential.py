@@ -60,16 +60,15 @@ def decision_sequences(decisions: DataFrame) -> pd.DataFrame:
     return pdf.drop(columns=["seq"])
 
 
-def consensus_map(matrix: DataFrame, train_ids: list[str]) -> dict[tuple[int, int], int]:
+def consensus_map(matrix_entries: pd.DataFrame, train_ids: list[str]) -> dict[tuple[int, int], int]:
     """π: element pair → number of train matchers with the pair in their
-    final matrix (computed on the training fold only — no leakage)."""
-    rows = (
-        matrix.where(F.col("matcher_id").isin(train_ids))
-        .groupBy("row_i", "col_j")
-        .agg(F.countDistinct("matcher_id").alias("n"))
-        .collect()
-    )
-    return {(r["row_i"], r["col_j"]): r["n"] for r in rows}
+    final matrix (computed on the training fold only — no leakage).
+
+    ``matrix_entries`` has one row per (matcher_id, row_i, col_j) entry
+    of a final matrix, as ``PreparedData.matrix_entries``."""
+    sub = matrix_entries[matrix_entries["matcher_id"].isin(train_ids)]
+    counts = sub.groupby(["row_i", "col_j"])["matcher_id"].nunique()
+    return {(int(i), int(j)): int(n) for (i, j), n in counts.items()}
 
 
 def _channel_seq(row: pd.Series, channel: str, consensus: dict) -> np.ndarray:

@@ -46,7 +46,8 @@ __all__ = [
 ]
 
 MEXI_VARIANTS = {"MExI_none": "none", "MExI_50": "50", "MExI_70": "70"}
-ABLATION_SETS = ["LRSM", "Mou", "Beh", "Seq", "Spa"]
+# MExI's five feature sets, in the classifiers' column and Table III row order
+MEXI_SETS = ("LRSM", "Mou", "Beh", "Seq", "Spa")
 REFERENCE_METHOD = "LRSM"  # Table II's significance stars compare against it
 
 
@@ -60,7 +61,6 @@ class POExperiment:
     preds: dict[str, list[pd.DataFrame]]  # method → per-fold test predictions
     stages_50: list = field(repr=False, default_factory=list)  # per-fold MExI_50 stage
     models_50: list[MExIModel] = field(repr=False, default_factory=list)
-    models_70: list[MExIModel] = field(repr=False, default_factory=list)
     nn: NNParams = NNParams()
     seed: int = 0
 
@@ -89,7 +89,7 @@ def run_po_experiment(
     preds: dict[str, list[pd.DataFrame]] = {
         name: [] for name in [*BASELINE_NAMES, *MEXI_VARIANTS]
     }
-    truth, stages_50, models_50, models_70 = [], [], [], []
+    truth, stages_50, models_50 = [], [], []
     for fi, (tr, te) in enumerate(folds):
         fold_seed = seed + 1000 * (fi + 1)
         truth.append(_truth_for(data, tr, te))
@@ -102,17 +102,14 @@ def run_po_experiment(
             stage = build_transform_stage(
                 data, tr, submatcher=spec, nn=nn, seed=fold_seed
             )
-            model = fit_from_stage(stage, ("LRSM", "Mou", "Beh", "Seq", "Spa"), seed=fold_seed)
+            model = fit_from_stage(stage, MEXI_SETS, seed=fold_seed)
             preds[name].append(model.predict(te))
             if name == "MExI_50":
                 stages_50.append(stage)
                 models_50.append(model)
-            elif name == "MExI_70":
-                models_70.append(model)
     return POExperiment(
         data=data, folds=folds, truth=truth, preds=preds,
-        stages_50=stages_50, models_50=models_50, models_70=models_70,
-        nn=nn, seed=seed,
+        stages_50=stages_50, models_50=models_50, nn=nn, seed=seed,
     )
 
 
@@ -199,7 +196,7 @@ def table2b(
         preds[name] = [p]
     for name, spec in MEXI_VARIANTS.items():
         stage = build_transform_stage(data_po, tr, submatcher=spec, nn=nn, seed=seed)
-        model = fit_from_stage(stage, ("LRSM", "Mou", "Beh", "Seq", "Spa"), seed=seed)
+        model = fit_from_stage(stage, MEXI_SETS, seed=seed)
         preds[name] = [model.predict(te, data=data_oa)]
     return _accuracy_table([truth], preds, seed=seed)
 
@@ -210,11 +207,11 @@ def table3(exp: POExperiment) -> pd.DataFrame:
     Reuses the per-fold MExI_50 transform stages: only the final
     classifiers are refit per feature-set mask.
     """
-    configs: dict[str, tuple[str, ...]] = {"MExI_50": ("LRSM", "Mou", "Beh", "Seq", "Spa")}
-    for s in ABLATION_SETS:
+    configs: dict[str, tuple[str, ...]] = {"MExI_50": MEXI_SETS}
+    for s in MEXI_SETS:
         configs[f"include {s}"] = (s,)
-    for s in ABLATION_SETS:
-        configs[f"exclude {s}"] = tuple(x for x in ABLATION_SETS if x != s)
+    for s in MEXI_SETS:
+        configs[f"exclude {s}"] = tuple(x for x in MEXI_SETS if x != s)
     rows = []
     for cname, mask in configs.items():
         per_fold = []
@@ -285,10 +282,7 @@ def utilization_tables(
             data_early, tr, submatcher="none", nn=exp.nn,
             seed=exp.seed + 1000 * (fi + 1), label_data=data,
         )
-        model_e = fit_from_stage(
-            stage, ("LRSM", "Mou", "Beh", "Seq", "Spa"),
-            seed=exp.seed + 1000 * (fi + 1),
-        )
+        model_e = fit_from_stage(stage, MEXI_SETS, seed=exp.seed + 1000 * (fi + 1))
         early_sel += select_experts(model_e.predict(te))
     early_selections = dict(selections)
     early_selections.pop("MExI")
@@ -298,7 +292,7 @@ def utilization_tables(
     # -- fused match: correspondence filtering + vote aggregation
     fused_rows = []
     for method, ids in selections.items():
-        f = fused_match(spark, data, ids if method != "no_filter" else data.full_ids)
+        f = fused_match(spark, data, ids)
         fused_rows.append({"method": method, **f})
     fused = pd.DataFrame(fused_rows)
     return {"perf_full": perf_full, "perf_early": perf_early, "fused": fused}

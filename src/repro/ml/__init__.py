@@ -2,7 +2,9 @@
 
 Exports the Goodman–Kruskal gamma statistic and the four learners MExI
 needs: logistic regression, random forest, an LSTM sequence classifier,
-and a CNN heatmap classifier.
+and a CNN heatmap classifier. Logistic regression, the LSTM and the CNN
+share one training core, :mod:`repro.ml.train`: one sigmoid, one binary
+cross-entropy, one Adam step and one minibatch epoch loop.
 """
 from repro.ml.cnn import CNNClassifier
 from repro.ml.forest import DecisionTree, RandomForest

@@ -8,17 +8,26 @@ compact CNN from scratch on down-sampled heatmaps (DESIGN.md §2):
     → flatten → dense K → sigmoid (one output per expertise label)
 
 Convolution uses im2col so both passes are matrix multiplies; the
-backward pass is gradient-checked in ``tests/test_ml_cnn.py``.
+backward pass is gradient-checked in ``tests/test_ml_cnn.py``. Training
+(binary cross-entropy, minibatch Adam at η=1e-3) is the shared recipe of
+``repro.ml.train``.
 """
 from __future__ import annotations
 
 import numpy as np
 
+from repro.ml.train import bce, fit_minibatches, sigmoid
+
 __all__ = ["CNNClassifier"]
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.abs(z))), np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
+def _max_normalized(X: np.ndarray) -> np.ndarray:
+    """Each image divided by its maximum (heatmaps have arbitrary total
+    mass); all-zero images stay zero."""
+    X = np.asarray(X, dtype=float)
+    mx = X.reshape(X.shape[0], -1).max(axis=1)
+    mx[mx < 1e-12] = 1.0
+    return X / mx[:, None, None]
 
 
 def _im2col(X: np.ndarray, k: int, stride: int) -> tuple[np.ndarray, int]:
@@ -44,19 +53,14 @@ class CNNClassifier:
         filters: int = 8,
         kernel: int = 5,
         stride: int = 2,
-        lr: float = 1e-3,
         epochs: int = 80,
-        batch_size: int = 32,
         seed: int = 0,
     ) -> None:
-        self.S = img_size
         self.K = n_labels
         self.C = filters
         self.k = kernel
         self.stride = stride
-        self.lr = lr
         self.epochs = epochs
-        self.batch_size = batch_size
         self.seed = seed
         rng = np.random.default_rng(seed)
         self.conv_out = (img_size - kernel) // stride + 1
@@ -69,8 +73,6 @@ class CNNClassifier:
         self.Wd = rng.normal(0, 1.0 / np.sqrt(flat), (flat, n_labels))
         self.bd = np.zeros(n_labels)
         self._params = ["Wc", "bc", "Wd", "bd"]
-        self._adam = {p: [np.zeros_like(getattr(self, p)), np.zeros_like(getattr(self, p))] for p in self._params}
-        self._adam_t = 0
 
     def _forward(self, X: np.ndarray):
         N = X.shape[0]
@@ -82,22 +84,19 @@ class CNNClassifier:
         pooled = rp.max(axis=(2, 4))
         flat = pooled.reshape(N, -1)
         logits = flat @ self.Wd + self.bd
-        p = _sigmoid(logits)
+        p = sigmoid(logits)
         return p, (cols, a, r, rp, pooled, flat)
 
     def _loss_and_grads(self, X: np.ndarray, Y: np.ndarray):
         N = X.shape[0]
         p, (cols, a, r, rp, pooled, flat) = self._forward(X)
-        eps = 1e-9
-        loss = -np.mean(Y * np.log(p + eps) + (1 - Y) * np.log(1 - p + eps))
-        dlogits = (p - Y) / (N * self.K)
+        loss, dlogits = bce(p, Y)
         gWd = flat.T @ dlogits
         gbd = dlogits.sum(axis=0)
         dflat = dlogits @ self.Wd.T
         P = self.pool_out
         dpooled = dflat.reshape(N, P, P, self.C)
         # route pooled grads back to the argmax positions
-        drp = np.zeros_like(rp)
         is_max = rp == pooled[:, :, None, :, None, :]
         # break ties by normalizing (max positions share the gradient)
         counts = is_max.sum(axis=(2, 4), keepdims=True)
@@ -110,43 +109,15 @@ class CNNClassifier:
         gbc = da_flat.sum(axis=0)
         return loss, {"Wc": gWc, "bc": gbc, "Wd": gWd, "bd": gbd}
 
-    def _adam_step(self, grads: dict[str, np.ndarray]) -> None:
-        self._adam_t += 1
-        b1, b2, eps = 0.9, 0.999, 1e-8
-        t = self._adam_t
-        for pn in self._params:
-            g = np.clip(grads[pn], -5.0, 5.0)
-            m, v = self._adam[pn]
-            m[:] = b1 * m + (1 - b1) * g
-            v[:] = b2 * v + (1 - b2) * g**2
-            setattr(
-                self,
-                pn,
-                getattr(self, pn)
-                - self.lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps),
-            )
-
     def fit(self, X: np.ndarray, Y: np.ndarray) -> "CNNClassifier":
-        X = np.asarray(X, dtype=float)
+        X = _max_normalized(X)
         Y = np.asarray(Y, dtype=float).reshape(X.shape[0], self.K)
-        # per-image max-normalization (heatmaps have arbitrary total mass)
-        mx = X.reshape(X.shape[0], -1).max(axis=1)
-        mx[mx < 1e-12] = 1.0
-        X = X / mx[:, None, None]
-        rng = np.random.default_rng(self.seed + 1)
-        N = X.shape[0]
-        for _ in range(self.epochs):
-            order = rng.permutation(N)
-            for s in range(0, N, self.batch_size):
-                idx = order[s : s + self.batch_size]
-                _, grads = self._loss_and_grads(X[idx], Y[idx])
-                self._adam_step(grads)
+        params = {pn: getattr(self, pn) for pn in self._params}
+        fit_minibatches(
+            self._loss_and_grads, params, (X, Y), self.epochs, np.random.default_rng(self.seed + 1)
+        )
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        mx = X.reshape(X.shape[0], -1).max(axis=1)
-        mx[mx < 1e-12] = 1.0
-        X = X / mx[:, None, None]
-        p, _ = self._forward(X)
+        p, _ = self._forward(_max_normalized(X))
         return p

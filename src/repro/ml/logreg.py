@@ -2,44 +2,38 @@
 
 scikit-learn is unavailable offline, so this is the reproduction's
 "classic classifier" #1 (the paper trains a set of classic classifiers
-and keeps the top performer; see `repro.core.mexi.select_classifier`).
+and keeps the top performer; see `repro.core.mexi._fit_best_classifier`).
 Features are standardized internally so callers pass raw feature frames.
+The sigmoid and the Adam step are those of ``repro.ml.train``.
 """
 from __future__ import annotations
 
 import numpy as np
 
+from repro.ml.train import Adam, sigmoid
+
 __all__ = ["LogisticRegression"]
 
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+# Full-batch Adam on cohort-sized frames needs a rate above the networks'
+# 1e-3 to converge within the epoch budget.
+LR = 0.05
 
 
 class LogisticRegression:
     """Binary classifier: p(y=1|x) = sigmoid(w·x_std + b).
 
-    Optimized with Adam (beta1=.9, beta2=.999) on cross-entropy, as in
-    §IV-B; the learning rate is raised above the networks' 1e-3 because
-    full-batch Adam on cohort-sized frames needs it to converge within
-    the epoch budget.
+    Optimized with full-batch Adam (beta1=.9, beta2=.999, η = ``LR``)
+    on cross-entropy, as in §IV-B.
     """
 
     def __init__(
         self,
         *,
         l2: float = 1e-2,
-        lr: float = 0.05,
         epochs: int = 800,
         seed: int = 0,
     ) -> None:
         self.l2 = l2
-        self.lr = lr
         self.epochs = epochs
         self.seed = seed
         self.w_: np.ndarray | None = None
@@ -61,33 +55,20 @@ class LogisticRegression:
         Xs = self._standardize(X)
         n, d = Xs.shape
         rng = np.random.default_rng(self.seed)
-        w = rng.normal(0, 0.01, d)
-        b = 0.0
-        mw = np.zeros(d)
-        vw = np.zeros(d)
-        mb = vb = 0.0
-        b1, b2, eps = 0.9, 0.999, 1e-8
-        for t in range(1, self.epochs + 1):
-            p = _sigmoid(Xs @ w + b)
-            err = p - y
-            gw = Xs.T @ err / n + self.l2 * w
-            gb = float(err.mean())
-            mw = b1 * mw + (1 - b1) * gw
-            vw = b2 * vw + (1 - b2) * gw**2
-            mb = b1 * mb + (1 - b1) * gb
-            vb = b2 * vb + (1 - b2) * gb**2
-            # Bias-corrected Adam step.
-            c1, c2 = 1 - b1**t, 1 - b2**t
-            w -= self.lr * (mw / c1) / (np.sqrt(vw / c2) + eps)
-            b -= self.lr * (mb / c1) / (np.sqrt(vb / c2) + eps)
-        self.w_, self.b_ = w, b
+        theta = np.append(rng.normal(0, 0.01, d), 0.0)  # the weights, then the intercept
+        w, b = theta[:-1], theta[-1:]
+        adam = Adam({"theta": theta}, LR)
+        for _ in range(self.epochs):
+            err = sigmoid(Xs @ w + b) - y
+            adam.step({"theta": np.append(Xs.T @ err / n + self.l2 * w, err.mean())})
+        self.w_, self.b_ = w, float(b[0])
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         if self.w_ is None:
             raise RuntimeError("fit() first")
         Xs = self._standardize(np.asarray(X, dtype=float))
-        return _sigmoid(Xs @ self.w_ + self.b_)
+        return sigmoid(Xs @ self.w_ + self.b_)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return (self.predict_proba(X) >= 0.5).astype(int)

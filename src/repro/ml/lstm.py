@@ -2,17 +2,22 @@
 
 Reproduces the Φ_Seq network of §IV-B1: an LSTM hidden layer (64 units)
 → dropout 0.5 → dense 100 + ReLU → K sigmoid outputs (one per expertise
-label), trained with Adam (eta=1e-3, beta1=.9, beta2=.999) on binary
-cross-entropy. Keras/TensorFlow are unavailable offline, so forward and
-full BPTT are implemented here; a finite-difference gradient check in
-``tests/test_ml_lstm.py`` pins the backward pass.
+label). Keras/TensorFlow are unavailable offline, so forward and full
+BPTT are implemented here; a finite-difference gradient check in
+``tests/test_ml_lstm.py`` pins the backward pass. Training (binary
+cross-entropy, minibatch Adam at η=1e-3) is the shared recipe of
+``repro.ml.train``.
 
 Sequences are padded at the tail; a mask carries (h, c) through padded
 steps so the readout is each sequence's true last hidden state.
 """
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
+
+from repro.ml.train import bce, fit_minibatches, sigmoid
 
 __all__ = ["LSTMClassifier", "pad_sequences"]
 
@@ -33,10 +38,6 @@ def pad_sequences(seqs: list[np.ndarray], max_len: int | None = None) -> tuple[n
     return X, M
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.abs(z))), np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
-
-
 class LSTMClassifier:
     """Multi-label sequence classifier (K independent sigmoid outputs)."""
 
@@ -48,19 +49,13 @@ class LSTMClassifier:
         hidden: int = 64,
         dense: int = 100,
         dropout: float = 0.5,
-        lr: float = 1e-3,
         epochs: int = 60,
-        batch_size: int = 32,
         seed: int = 0,
     ) -> None:
-        self.d = input_dim
         self.K = n_labels
         self.H = hidden
-        self.D = dense
         self.dropout = dropout
-        self.lr = lr
         self.epochs = epochs
-        self.batch_size = batch_size
         self.seed = seed
         rng = np.random.default_rng(seed)
         H, d, D, K = hidden, input_dim, dense, n_labels
@@ -74,8 +69,6 @@ class LSTMClassifier:
         self.W2 = rng.normal(0, 1.0 / np.sqrt(D), (D, K))
         self.b2 = np.zeros(K)
         self._params = ["Wx", "Wh", "b", "W1", "b1", "W2", "b2"]
-        self._adam = {p: [np.zeros_like(getattr(self, p)), np.zeros_like(getattr(self, p))] for p in self._params}
-        self._adam_t = 0
         self.mu_: np.ndarray | None = None
         self.sd_: np.ndarray | None = None
 
@@ -92,9 +85,8 @@ class LSTMClassifier:
             x_t = X[:, t, :]
             m = M[:, t][:, None]
             z = x_t @ self.Wx + h @ self.Wh + self.b
-            i = _sigmoid(z[:, :H])
-            f = _sigmoid(z[:, H : 2 * H])
-            o = _sigmoid(z[:, 2 * H : 3 * H])
+            gates = sigmoid(z[:, : 3 * H])
+            i, f, o = gates[:, :H], gates[:, H : 2 * H], gates[:, 2 * H :]
             g = np.tanh(z[:, 3 * H :])
             c_new = f * c + i * g
             h_new = o * np.tanh(c_new)
@@ -110,7 +102,7 @@ class LSTMClassifier:
         a1 = hd @ self.W1 + self.b1
         r1 = np.maximum(a1, 0.0)
         logits = r1 @ self.W2 + self.b2
-        p = _sigmoid(logits)
+        p = sigmoid(logits)
         return p, (hd, a1, r1)
 
     def _loss_and_grads(self, X, M, Y, rng):
@@ -121,10 +113,8 @@ class LSTMClassifier:
         else:
             drop = None
         p, (hd, a1, r1) = self._forward_head(h, drop)
-        eps = 1e-9
-        loss = -np.mean(Y * np.log(p + eps) + (1 - Y) * np.log(1 - p + eps))
+        loss, dlogits = bce(p, Y)
         # head backward
-        dlogits = (p - Y) / (N * self.K)
         gW2 = r1.T @ dlogits
         gb2 = dlogits.sum(axis=0)
         dr1 = dlogits @ self.W2.T
@@ -166,18 +156,6 @@ class LSTMClassifier:
         grads = {"Wx": dWx, "Wh": dWh, "b": db, "W1": gW1, "b1": gb1, "W2": gW2, "b2": gb2}
         return loss, grads
 
-    def _adam_step(self, grads: dict[str, np.ndarray]) -> None:
-        self._adam_t += 1
-        b1, b2, eps = 0.9, 0.999, 1e-8
-        t = self._adam_t
-        for pn in self._params:
-            g = np.clip(grads[pn], -5.0, 5.0)
-            m, v = self._adam[pn]
-            m[:] = b1 * m + (1 - b1) * g
-            v[:] = b2 * v + (1 - b2) * g**2
-            step = self.lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
-            setattr(self, pn, getattr(self, pn) - step)
-
     # ---------------- public API ----------------
 
     def fit(self, seqs: list[np.ndarray], Y: np.ndarray) -> "LSTMClassifier":
@@ -191,13 +169,8 @@ class LSTMClassifier:
         self.sd_[self.sd_ < 1e-12] = 1.0
         X = np.where(valid[:, :, None], (X - self.mu_) / self.sd_, 0.0)
         rng = np.random.default_rng(self.seed + 1)
-        N = X.shape[0]
-        for _ in range(self.epochs):
-            order = rng.permutation(N)
-            for s in range(0, N, self.batch_size):
-                idx = order[s : s + self.batch_size]
-                _, grads = self._loss_and_grads(X[idx], M[idx], Y[idx], rng)
-                self._adam_step(grads)
+        params = {pn: getattr(self, pn) for pn in self._params}
+        fit_minibatches(partial(self._loss_and_grads, rng=rng), params, (X, M, Y), self.epochs, rng)
         return self
 
     def predict_proba(self, seqs: list[np.ndarray]) -> np.ndarray:

@@ -1,4 +1,5 @@
 """Φ_Seq (LSTM late fusion) and Φ_Spa (CNN late fusion) extractors."""
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -56,22 +57,24 @@ class TestDecisionSequences:
 
 
 class TestConsensus:
-    def test_counts_match_pandas(self, spark, cohort):
-        matrix = history_to_matrix(spark.createDataFrame(cohort.decisions))
-        ids = cohort.matcher_ids[:5]
-        cm = consensus_map(matrix, ids)
-        pdf = matrix.toPandas()
-        pdf = pdf[pdf.matcher_id.isin(ids)]
-        expected = pdf.groupby(["row_i", "col_j"])["matcher_id"].nunique()
-        assert len(cm) == len(expected)
-        for (i, j), n in expected.items():
-            assert cm[(i, j)] == n
+    @pytest.fixture(scope="class")
+    def entries(self, spark, cohort):
+        """Final-matrix entries from the Spark Eq. 1 reference."""
+        return history_to_matrix(spark.createDataFrame(cohort.decisions)).toPandas()
 
-    def test_reference_pairs_popular(self, spark, cohort):
+    def test_counts_match_pandas(self, entries, cohort):
+        ids = cohort.matcher_ids[:5]
+        expected = Counter()
+        for mid in ids:
+            mine = entries[entries["matcher_id"] == mid]
+            expected.update(set(zip(mine["row_i"].tolist(), mine["col_j"].tolist())))
+        assert max(expected.values()) > 1  # pairs shared across matchers
+        assert consensus_map(entries, ids) == dict(expected)
+
+    def test_reference_pairs_popular(self, entries, cohort):
         """Consensus is higher on reference pairs than on decoys —
         the signal the Seq channel exploits."""
-        matrix = history_to_matrix(spark.createDataFrame(cohort.decisions))
-        cm = consensus_map(matrix, cohort.matcher_ids)
+        cm = consensus_map(entries, cohort.matcher_ids)
         ref = cohort.task.reference_pairs
         ref_counts = [n for p, n in cm.items() if p in ref]
         other = [n for p, n in cm.items() if p not in ref]

@@ -41,7 +41,6 @@ class TestRunPO:
 
     def test_models_stored(self, exp):
         assert len(exp.models_50) == 2
-        assert len(exp.models_70) == 2
         assert len(exp.stages_50) == 2
 
 
