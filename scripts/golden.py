@@ -11,6 +11,9 @@ item:
 - ``stage.labels`` / ``stage.thresholds``: each of those stages' label
   lookup, cognitive thresholds and number of fit rows;
 - ``predict.<variant>``: test-fold predictions of each stage's model;
+- ``proba.<variant>``: each label's ``predict_proba`` of the MExI_none/50/70
+  models on the test fold, so the classifiers' probabilities are pinned,
+  not only the labels they threshold to;
 - ``predict.early_bundle`` / ``predict.oaei_bundle``: the MExI_50 model
   predicting the test matchers of the early (first 15 decisions) bundle
   and every matcher of a 12-matcher OAEI bundle;
@@ -117,6 +120,9 @@ def dump(out: Path) -> None:
         models[name] = mexi.fit_from_stage(stages[name], FULL, seed=FOLD_SEED)
         items[f"transformed.{name}"] = stages[name].transformed
         items[f"predict.{name}"] = models[name].predict(te)
+        X = models[name].features(te)
+        probas = {lab: clf.predict_proba(X) for lab, clf in models[name].classifiers.items()}
+        items[f"proba.{name}"] = pd.DataFrame({"matcher_id": te, **probas})
     stage_e = mexi.build_transform_stage(
         early, tr, submatcher="none", nn=cfg.BENCH_NN, seed=FOLD_SEED, label_data=data
     )

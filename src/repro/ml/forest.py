@@ -2,9 +2,12 @@
 
 This is the reproduction's "classic classifier" #2 (stand-in for the
 scikit-learn Random Forest the paper uses; see DESIGN.md §2). Bootstrap
-sampling + sqrt-feature subsampling per split; the split search sorts
-each candidate feature once and scores every distinct threshold with
-vectorized cumulative class counts (exact CART, no quantile capping).
+sampling + sqrt-feature subsampling per split. Each node's split search
+is one vectorized pass over all its candidate features: one stable sort
+of the candidate columns, cumulative class counts, and the gini gain of
+every (distinct threshold, feature) pair (exact CART, no quantile
+capping). Prediction moves all rows down the node arrays together, one
+gather per level; a forest walks all its trees at once.
 """
 from __future__ import annotations
 
@@ -47,51 +50,46 @@ class DecisionTree:
     def _best_split(
         self, X: np.ndarray, y: np.ndarray, rng: np.random.Generator
     ) -> tuple[int, float] | None:
-        """Vectorized exact split search: per candidate feature, sort
-        once and score every distinct threshold with cumulative counts."""
+        """Exact split search over the node's candidate features at once:
+        the first feature (in draw order) whose best cut reaches the
+        largest gini gain, and that cut's first occurrence."""
         n, d = X.shape
         k = self.max_features or d
         feats = rng.choice(d, size=min(k, d), replace=False)
         parent_gini = _gini(np.bincount(y, minlength=2))
-        best: tuple[int, float] | None = None
-        best_gain = 1e-9
-        msl = self.min_samples_leaf
-        for f in feats:
-            col = X[:, f]
-            order = np.argsort(col, kind="stable")
-            cs = col[order]
-            ys = y[order]
-            # split after position i ⇒ left = first i+1 rows
-            cut = np.nonzero(cs[:-1] < cs[1:])[0]  # valid distinct-value cuts
-            if cut.size == 0:
-                continue
-            nl = cut + 1
-            nr = n - nl
-            ok = (nl >= msl) & (nr >= msl)
-            if not ok.any():
-                continue
-            cut, nl, nr = cut[ok], nl[ok], nr[ok]
-            c1l = np.cumsum(ys)[cut].astype(float)
-            c1r = ys.sum() - c1l
-            p1l = c1l / nl
-            p1r = c1r / nr
-            gl = 1.0 - p1l**2 - (1 - p1l) ** 2
-            gr = 1.0 - p1r**2 - (1 - p1r) ** 2
-            gain = parent_gini - (nl * gl + nr * gr) / n
-            i = int(np.argmax(gain))
-            if gain[i] > best_gain:
-                best_gain = float(gain[i])
-                best = (int(f), float((cs[cut[i]] + cs[cut[i] + 1]) / 2.0))
-        return best
+        Xf = X[:, feats]
+        order = np.argsort(Xf, axis=0, kind="stable")
+        cs = np.take_along_axis(Xf, order, axis=0)
+        # cut i: left = the first i+1 sorted rows of a column
+        c1l = np.cumsum(y[order], axis=0)[:-1].astype(float)
+        c1r = y.sum() - c1l
+        nl = np.arange(1, n)[:, None]
+        nr = n - nl
+        p1l = c1l / nl
+        p1r = c1r / nr
+        gl = 1.0 - p1l**2 - (1 - p1l) ** 2
+        gr = 1.0 - p1r**2 - (1 - p1r) ** 2
+        gain = parent_gini - (nl * gl + nr * gr) / n
+        ok = (cs[:-1] < cs[1:]) & (nl >= self.min_samples_leaf) & (nr >= self.min_samples_leaf)
+        gain = np.where(ok, gain, -np.inf)
+        cut = np.argmax(gain, axis=0)
+        best = gain[cut, np.arange(len(feats))]
+        j = int(np.argmax(best))
+        if not best[j] > 1e-9:
+            return None
+        i = cut[j]
+        return int(feats[j]), float((cs[i, j] + cs[i + 1, j]) / 2.0)
 
     def _grow(self, X: np.ndarray, y: np.ndarray, depth: int, rng) -> int:
         idx = len(self._feat)
+        val = float(y.mean()) if y.size else 0.5
         self._feat.append(-1)
         self._thr.append(0.0)
         self._left.append(-1)
         self._right.append(-1)
-        self._val.append(float(y.mean()) if y.size else 0.5)
-        if depth >= self.max_depth or y.size < 2 * self.min_samples_leaf or len(np.unique(y)) == 1:
+        self._val.append(val)
+        # labels are 0/1, so the mean is 0 or 1 exactly when the node is pure
+        if depth >= self.max_depth or y.size < 2 * self.min_samples_leaf or val in (0.0, 1.0):
             return idx
         split = self._best_split(X, y, rng)
         if split is None:
@@ -113,19 +111,23 @@ class DecisionTree:
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        out = np.empty(X.shape[0])
-        feat = np.asarray(self._feat)
-        thr = np.asarray(self._thr)
-        left = np.asarray(self._left)
-        right = np.asarray(self._right)
-        val = np.asarray(self._val)
-        for i, row in enumerate(X):
-            node = 0
-            while feat[node] >= 0:
-                node = left[node] if row[feat[node]] <= thr[node] else right[node]
-            out[i] = val[node]
-        return out
+        nodes = (self._feat, self._thr, self._left, self._right, self._val)
+        return _walk(*map(np.asarray, nodes), np.zeros(1, dtype=int), X, self.max_depth)[0]
+
+
+def _walk(feat, thr, left, right, val, roots, X, depth: int) -> np.ndarray:
+    """Leaf value reached from each root (axis 0) by each row of ``X``
+    (axis 1): all rows move down the node arrays together, one gather per
+    level. A leaf's feature is -1, so its rows compare against the last
+    column and stay put; after ``depth`` steps every row is in a leaf."""
+    X = np.asarray(X, dtype=float)
+    rows = np.arange(X.shape[0])
+    node = np.repeat(roots[:, None], X.shape[0], axis=1)
+    for _ in range(depth):
+        f = feat[node]
+        go = np.where(X[rows, f] <= thr[node], left[node], right[node])
+        node = np.where(f >= 0, go, node)
+    return val[node]
 
 
 class RandomForest:
@@ -165,9 +167,19 @@ class RandomForest:
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
+        """Mean leaf fraction over the trees, all trees walked at once on
+        their concatenated node arrays."""
         if not self.trees_:
             raise RuntimeError("fit() first")
-        return np.mean([t.predict_proba(X) for t in self.trees_], axis=0)
+        sizes = [len(t._feat) for t in self.trees_]
+        roots = np.cumsum([0, *sizes[:-1]])
+        base = np.repeat(roots, sizes)
+        feat, thr, left, right, val = (
+            np.concatenate([getattr(t, a) for t in self.trees_])
+            for a in ("_feat", "_thr", "_left", "_right", "_val")
+        )
+        p = _walk(feat, thr, left + base, right + base, val, roots, X, self.max_depth)
+        return p.mean(axis=0)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return (self.predict_proba(X) >= 0.5).astype(int)

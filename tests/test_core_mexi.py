@@ -10,6 +10,9 @@ from repro.core.features import ALL_SETS, FEATURE_SETS
 from repro.core.measures import LABELS
 from repro.core.mexi import (
     NNParams,
+    _Constant,
+    _fit_best_classifier,
+    _Thresholded,
     build_transform_stage,
     fit_from_stage,
     prepare,
@@ -211,3 +214,29 @@ class TestDroppedMatcher:
                 data, tr, submatcher="none", include_sets=("LRSM",), nn=_NN, seed=0
             )
             assert stage.fit_ids == tr
+
+
+class TestFitBestClassifierDegenerate:
+    """§IV-B2 model selection on labels too degenerate for 3-fold CV."""
+
+    def test_single_class_is_constant(self):
+        X = np.random.default_rng(0).normal(size=(12, 5))
+        clf = _fit_best_classifier(X, np.ones(12, dtype=int), seed=3)
+        assert isinstance(clf, _Constant)
+        assert clf.predict(X).tolist() == [1] * 12
+
+    def test_cv_fold_without_positives(self):
+        # one positive: the CV fold that tests it trains on negatives only
+        rng = np.random.default_rng(1)
+        X = rng.normal(size=(30, 6))
+        y = np.zeros(30, dtype=int)
+        y[7] = 1
+        clf = _fit_best_classifier(X, y, seed=11)
+        assert isinstance(clf, _Thresholded)
+        assert clf.threshold == 0.5 or np.isclose(clf.threshold, np.linspace(0.25, 0.45, 5)).any()
+        pred = clf.predict(X)
+        assert set(pred.tolist()) <= {0, 1}
+        again = _fit_best_classifier(X, y, seed=11)
+        assert again.threshold == clf.threshold
+        np.testing.assert_array_equal(again.predict_proba(X), clf.predict_proba(X))
+        np.testing.assert_array_equal(again.predict(X), pred)
