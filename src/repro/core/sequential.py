@@ -6,8 +6,9 @@ confidence ``(h_1.c … h_T.c)``, decision time deltas
 matchers whose final matrix contains the pair decided at step i.
 
 One single-channel LSTM is trained per channel (so Table IV can report
-channel-level importances like "consensus (P)"); each outputs four label
-coefficients. The 3 x 4 coefficients are the Φ_Seq feature block, named
+channel-level importances like "consensus (P)"), the three as members of
+one stacked ``LSTMClassifier``; each outputs four label coefficients.
+The 3 x 4 coefficients are the Φ_Seq feature block, named
 ``seq_<channel> (<label>)`` after Table IV.
 """
 from __future__ import annotations
@@ -71,21 +72,9 @@ def consensus_map(matrix_entries: pd.DataFrame, train_ids: list[str]) -> dict[tu
     return {(int(i), int(j)): int(n) for (i, j), n in counts.items()}
 
 
-def _channel_seq(row: pd.Series, channel: str, consensus: dict) -> np.ndarray:
-    if channel == "conf":
-        v = row["confs"]
-    elif channel == "time":
-        v = row["dts"]
-    else:
-        v = np.array(
-            [consensus.get((i, j), 0) for i, j in zip(row["rows"], row["cols"])],
-            dtype=float,
-        )
-    return v.reshape(-1, 1)[:MAX_LEN]
-
-
 class SeqFeatureExtractor:
-    """Trains one LSTM per channel; emits the 12 Φ_Seq late-fusion features.
+    """Trains one 3-member LSTM (a network per channel); emits the 12
+    Φ_Seq late-fusion features.
 
     ``consensus`` is the train-fold map π (see :func:`consensus_map`); it
     feeds the consensus channel both when fitting and when transforming.
@@ -98,39 +87,43 @@ class SeqFeatureExtractor:
         self.dense = dense
         self.epochs = epochs
         self.seed = seed
-        self.models: dict[str, LSTMClassifier] = {}
+        self.model: LSTMClassifier | None = None
 
-    def _channel(self, sequences: pd.DataFrame, channel: str) -> list[np.ndarray]:
-        return [_channel_seq(row, channel, self.consensus) for _, row in sequences.iterrows()]
+    def _sequences(self, sequences: pd.DataFrame) -> list[np.ndarray]:
+        """One (T_i, 3) array per row of the :data:`SEQ_CHANNELS`, cut to
+        the first :data:`MAX_LEN` steps."""
+        out = []
+        for confs, dts, rows, cols in sequences[["confs", "dts", "rows", "cols"]].to_numpy():
+            pairs = zip(rows[:MAX_LEN].tolist(), cols[:MAX_LEN].tolist())
+            pi = [self.consensus.get(p, 0) for p in pairs]
+            out.append(np.column_stack([confs[:MAX_LEN], dts[:MAX_LEN], np.array(pi, dtype=float)]))
+        return out
 
     def fit(self, bundle, labels: pd.DataFrame) -> "SeqFeatureExtractor":
         """Train on the ids of ``labels`` (matcher_id + :data:`LABELS`),
         reading their sequences from ``bundle.sequences`` (the columns of
-        :func:`decision_sequences`), in bundle order."""
+        :func:`decision_sequences`), in bundle order. Channel c's member
+        is seeded ``seed + c``."""
         joined = bundle.sequences.merge(labels[["matcher_id", *LABELS]], on="matcher_id")
         Y = joined[LABELS].to_numpy(dtype=float)
-        for ci, ch in enumerate(SEQ_CHANNELS):
-            m = LSTMClassifier(
-                1,
-                len(LABELS),
-                hidden=self.hidden,
-                dense=self.dense,
-                epochs=self.epochs,
-                seed=self.seed + ci,
-            )
-            m.fit(self._channel(joined, ch), Y)
-            self.models[ch] = m
+        self.model = LSTMClassifier(
+            len(SEQ_CHANNELS),
+            len(LABELS),
+            hidden=self.hidden,
+            dense=self.dense,
+            epochs=self.epochs,
+            seed=self.seed,
+        ).fit(self._sequences(joined), Y)
         return self
 
     def transform(self, bundle, ids: list[str]) -> pd.DataFrame:
         """matcher_id + the 12 coefficients for the ``ids`` of
         ``bundle.sequences``, in bundle order."""
-        if not self.models:
+        if self.model is None:
             raise RuntimeError("fit() first")
         seqs = bundle.sequences[bundle.sequences["matcher_id"].isin(ids)]
         out = seqs[["matcher_id"]].copy()
-        for ch in SEQ_CHANNELS:
-            P = self.models[ch].predict_proba(self._channel(seqs, ch))
+        for ch, P in zip(SEQ_CHANNELS, self.model.predict_proba(self._sequences(seqs))):
             for li, lab in enumerate(LABELS):
                 out[f"seq_{ch} ({LABEL_SHORT[lab]})"] = P[:, li]
         return out

@@ -57,10 +57,13 @@ class LogisticRegression:
         rng = np.random.default_rng(self.seed)
         theta = np.append(rng.normal(0, 0.01, d), 0.0)  # the weights, then the intercept
         w, b = theta[:-1], theta[-1:]
+        grad = np.empty_like(theta)  # written in place each epoch, laid out as theta
         adam = Adam({"theta": theta}, LR)
         for _ in range(self.epochs):
             err = sigmoid(Xs @ w + b) - y
-            adam.step({"theta": np.append(Xs.T @ err / n + self.l2 * w, err.mean())})
+            np.add(Xs.T @ err / n, self.l2 * w, out=grad[:-1])
+            grad[-1] = np.add.reduce(err) / n
+            adam.step({"theta": grad})
         self.w_, self.b_ = w, float(b[0])
         return self
 

@@ -3,7 +3,8 @@
 Every learner in ``repro.ml`` except the forest has sigmoid outputs
 trained on binary cross-entropy with bias-corrected Adam (Kingma & Ba,
 ICLR 2015; β = (.9, .999)). The LSTM and the CNN run
-:func:`fit_minibatches` at η = :data:`NET_LR`; logistic regression takes
+:func:`fit_minibatches` at η = :data:`NET_LR` on a stack of networks,
+one member per late-fusion channel; logistic regression takes
 full-batch :class:`Adam` steps at its own rate (``repro.ml.logreg``).
 """
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["sigmoid", "bce", "Adam", "fit_minibatches", "NET_LR", "BATCH_SIZE"]
+__all__ = ["sigmoid", "bce", "Adam", "stacked_draws", "fit_minibatches", "NET_LR", "BATCH_SIZE"]
 
 NET_LR = 1e-3  # η of §IV-B1
 BATCH_SIZE = 32
@@ -31,15 +32,16 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     a = np.abs(z)
     with np.errstate(under="ignore") if a.max(initial=0.0) > 708.0 else nullcontext():
         e = np.exp(-a)
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    # the numerator is 1 where z >= 0 and e below (0 <= e <= 1)
+    return np.maximum(e, z >= 0) / (1.0 + e)
 
 
-def bce(p: np.ndarray, Y: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean binary cross-entropy of sigmoid outputs ``p`` against ``Y``,
-    and its gradient with respect to the logits."""
+def bce(p: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each member's mean binary cross-entropy of sigmoid outputs ``p``
+    (G, n, K) against ``Y``, and its gradient with respect to the logits."""
     eps = 1e-9
-    loss = -np.mean(Y * np.log(p + eps) + (1 - Y) * np.log(1 - p + eps))
-    return loss, (p - Y) / Y.size
+    loss = -np.mean(Y * np.log(p + eps) + (1 - Y) * np.log(1 - p + eps), axis=(-2, -1))
+    return loss, (p - Y) / (Y.shape[-2] * Y.shape[-1])
 
 
 class Adam:
@@ -56,7 +58,7 @@ class Adam:
         self.t += 1
         c1, c2 = 1 - BETA1**self.t, 1 - BETA2**self.t
         for k, p in self.params.items():
-            g = np.clip(grads[k], -CLIP, CLIP)
+            g = np.minimum(np.maximum(grads[k], -CLIP), CLIP)
             m, v = self.m[k], self.v[k]
             m *= BETA1
             m += (1 - BETA1) * g
@@ -65,18 +67,26 @@ class Adam:
             p -= self.lr * (m / c1) / (np.sqrt(v / c2) + EPS)
 
 
+def stacked_draws(seed: int, members: int, draw: Callable) -> list[np.ndarray]:
+    """Member c's initial arrays ``draw(default_rng(seed + c))``, stacked:
+    one (members, ...) array per array drawn."""
+    return [np.stack(a) for a in zip(*(draw(np.random.default_rng(seed + c)) for c in range(members)))]
+
+
 def fit_minibatches(
-    loss_and_grads: Callable, params: dict, arrays: tuple, epochs: int, rng: np.random.Generator
+    loss_and_grads: Callable, params: dict, arrays: tuple, epochs: int, rngs: list
 ) -> None:
-    """Shuffled-minibatch Adam on the rows of ``arrays``: each epoch draws
-    one permutation from ``rng``, then steps through it BATCH_SIZE rows at
-    a time on the gradients of ``loss_and_grads(*batch)``, which may draw
-    from the same ``rng`` (the LSTM's dropout masks)."""
+    """Shuffled-minibatch Adam on G stacked networks, whose ``arrays`` all
+    have a leading member axis (G, N, ...). Each epoch draws one row
+    permutation per member from ``rngs[g]``; every batch gathers member
+    g's next BATCH_SIZE rows of it and steps on ``loss_and_grads(*batch)``,
+    which may draw from the same ``rngs`` (the LSTM's dropout masks)."""
     adam = Adam(params, NET_LR)
-    n = len(arrays[0])
+    n = arrays[0].shape[1]
+    members = np.arange(len(rngs))[:, None]
     for _ in range(epochs):
-        order = rng.permutation(n)
+        order = np.stack([rng.permutation(n) for rng in rngs])
         for s in range(0, n, BATCH_SIZE):
-            idx = order[s : s + BATCH_SIZE]
-            _, grads = loss_and_grads(*(a[idx] for a in arrays))
+            idx = order[:, s : s + BATCH_SIZE]
+            _, grads = loss_and_grads(*(a[members, idx] for a in arrays))
             adam.step(grads)

@@ -29,30 +29,32 @@ class TestPadSequences:
 
 
 def _num_grad(model, X, M, Y, pname, idx, eps=1e-5):
-    rng = np.random.default_rng(99)
+    rngs = [np.random.default_rng(99)] * model.G
     p = getattr(model, pname)
     flat = p.ravel()
     orig = flat[idx]
     flat[idx] = orig + eps
-    lp, _ = model._loss_and_grads(X, M, Y, rng)
+    lp, _ = model._loss_and_grads(X, M, Y, rngs)
     flat[idx] = orig - eps
-    lm, _ = model._loss_and_grads(X, M, Y, rng)
+    lm, _ = model._loss_and_grads(X, M, Y, rngs)
     flat[idx] = orig
     return (lp - lm) / (2 * eps)
 
 
 class TestGradients:
-    """Finite-difference check of BPTT (dropout off for determinism)."""
+    """Finite-difference check of BPTT on a stacked batch of two members
+    (dropout off for determinism); the loss is the members' sum."""
 
     @pytest.mark.parametrize("pname", ["Wx", "Wh", "b", "W1", "b1", "W2", "b2"])
     def test_gradcheck(self, pname):
         model = LSTMClassifier(2, 2, hidden=4, dense=3, dropout=0.0, seed=0)
         rng = np.random.default_rng(1)
-        X = rng.normal(0, 1, (3, 5, 2))
+        X = rng.normal(0, 1, (2, 3, 5, 1))
         M = np.array([[1, 1, 1, 0, 0], [1, 1, 1, 1, 1], [1, 0, 0, 0, 0]], dtype=float)
-        X = X * M[:, :, None]
-        Y = rng.integers(0, 2, (3, 2)).astype(float)
-        _, grads = model._loss_and_grads(X, M, Y, np.random.default_rng(99))
+        M = np.stack([M, M[::-1]])
+        X = X * M[..., None]
+        Y = rng.integers(0, 2, (2, 3, 2)).astype(float)
+        _, grads = model._loss_and_grads(X, M, Y, [np.random.default_rng(99)] * 2)
         g = grads[pname].ravel()
         idxs = np.random.default_rng(2).choice(g.size, size=min(5, g.size), replace=False)
         for i in idxs:
@@ -63,19 +65,20 @@ class TestGradients:
         """Changing padded-step inputs must not change the loss."""
         model = LSTMClassifier(2, 1, hidden=4, dense=3, dropout=0.0, seed=0)
         rng = np.random.default_rng(1)
-        X = rng.normal(0, 1, (2, 4, 2))
-        M = np.array([[1, 1, 0, 0], [1, 1, 1, 1]], dtype=float)
-        Y = np.array([[1.0], [0.0]])
-        l1, _ = model._loss_and_grads(X, M, Y, np.random.default_rng(0))
+        X = rng.normal(0, 1, (2, 2, 4, 1))
+        M = np.broadcast_to(np.array([[1, 1, 0, 0], [1, 1, 1, 1]], dtype=float), (2, 2, 4))
+        Y = np.broadcast_to(np.array([[1.0], [0.0]]), (2, 2, 1))
+        l1, _ = model._loss_and_grads(X, M, Y, [np.random.default_rng(0)] * 2)
         X2 = X.copy()
-        X2[0, 2:] = 100.0  # padded region of sequence 0
-        l2, _ = model._loss_and_grads(X2, M, Y, np.random.default_rng(0))
+        X2[:, 0, 2:] = 100.0  # padded region of sequence 0
+        l2, _ = model._loss_and_grads(X2, M, Y, [np.random.default_rng(0)] * 2)
         assert l1 == pytest.approx(l2)
 
 
 class TestLearning:
     def test_learns_last_step_signal(self):
-        """Label = whether the final step's first channel is positive."""
+        """Label = whether the final step's first channel is positive;
+        channel 0's member sees that channel."""
         rng = np.random.default_rng(0)
         seqs, Y = [], []
         for _ in range(80):
@@ -85,7 +88,7 @@ class TestLearning:
             Y.append([1.0 if s[-1, 0] > 0 else 0.0])
         model = LSTMClassifier(2, 1, hidden=8, dense=8, dropout=0.0, epochs=120, seed=0)
         model.fit(seqs, np.array(Y))
-        p = model.predict_proba(seqs)
+        p = model.predict_proba(seqs)[0]
         acc = ((p[:, 0] >= 0.5) == (np.array(Y)[:, 0] >= 0.5)).mean()
         assert acc > 0.85
 
@@ -100,7 +103,7 @@ class TestLearning:
             Y.append([1.0 if mu > 0 else 0.0])
         model = LSTMClassifier(1, 1, hidden=8, dense=8, dropout=0.0, epochs=120, seed=0)
         model.fit(seqs, np.array(Y))
-        p = model.predict_proba(seqs)
+        p = model.predict_proba(seqs)[0]
         acc = ((p[:, 0] >= 0.5) == (np.array(Y)[:, 0] >= 0.5)).mean()
         assert acc > 0.85
 
@@ -110,7 +113,7 @@ class TestLearning:
         Y = rng.integers(0, 2, (10, 4)).astype(float)
         model = LSTMClassifier(3, 4, hidden=4, dense=4, epochs=2, seed=0)
         p = model.fit(seqs, Y).predict_proba(seqs)
-        assert p.shape == (10, 4)
+        assert p.shape == (3, 10, 4)  # one block per member
         assert np.all((p >= 0) & (p <= 1))
 
     def test_deterministic(self):
