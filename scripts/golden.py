@@ -14,6 +14,9 @@ item:
 - ``proba.<variant>``: each label's ``predict_proba`` of the MExI_none/50/70
   models on the test fold, so the classifiers' probabilities are pinned,
   not only the labels they threshold to;
+- ``selection.<variant>``: per label of the MExI_none/50/70 models, the
+  winning classifier, both candidates' 3-fold CV accuracies and the
+  tuned threshold (a constant label has no scores and no threshold);
 - ``predict.early_bundle`` / ``predict.oaei_bundle``: the MExI_50 model
   predicting the test matchers of the early (first 15 decisions) bundle
   and every matcher of a 12-matcher OAEI bundle;
@@ -88,6 +91,54 @@ def _truth(train_data, train_ids: list[str], data, ids: list[str]) -> pd.DataFra
     return lab[lab["matcher_id"].isin(ids)][["matcher_id", *LABELS]].reset_index(drop=True)
 
 
+def _cv_scores(X: np.ndarray, y: np.ndarray, seed: int) -> dict[str, float]:
+    """Both candidates' 3-fold CV accuracies as the per-label selection
+    computes them, for checkouts whose classifiers do not keep them."""
+    from repro.ml.forest import RandomForest
+    from repro.ml.logreg import LogisticRegression
+
+    order = np.random.default_rng(seed).permutation(len(y))
+    candidates = {
+        "LogisticRegression": lambda s: LogisticRegression(seed=s),
+        "RandomForest": lambda s: RandomForest(n_estimators=60, seed=s),
+    }
+    scores = {}
+    for name, make in candidates.items():
+        accs = []
+        for f in range(3):
+            te = order[f::3]
+            tr = np.setdiff1d(order, te)
+            if len(np.unique(y[tr])) == 1:
+                pred = np.full(len(te), y[tr][0])
+            else:
+                pred = (make(seed).fit(X[tr], y[tr]).predict_proba(X[te]) >= 0.5).astype(int)
+            accs.append(float((pred == y[te]).mean()))
+        scores[name] = float(np.mean(accs))
+    return scores
+
+
+def _selection(stage, model, seed: int) -> pd.DataFrame:
+    """Per label: the winner, both CV accuracies and the threshold."""
+    from repro.core.measures import LABELS
+
+    fit_rows = stage.transformed[stage.transformed["matcher_id"].isin(stage.fit_ids)].merge(
+        stage.labels_for(stage.fit_ids), on="matcher_id"
+    )
+    X = fit_rows[model.feature_cols].to_numpy(dtype=float)
+    rows = []
+    for li, lab in enumerate(LABELS):
+        clf = model.classifiers[lab]
+        row = {"label": lab, "clf": type(getattr(clf, "clf", clf)).__name__,
+               "cv_LogisticRegression": np.nan, "cv_RandomForest": np.nan, "threshold": np.nan}
+        if hasattr(clf, "threshold"):
+            scores = getattr(clf, "cv_scores", None)
+            if scores is None:
+                scores = _cv_scores(X, fit_rows[lab].to_numpy(dtype=int), seed + 17 * li)
+            row.update({f"cv_{name}": acc for name, acc in scores.items()}, threshold=clf.threshold)
+        rows.append(row)
+    return pd.DataFrame(rows)
+
+
 def _stacked(parts: dict[str, pd.DataFrame], key: str) -> pd.DataFrame:
     return pd.concat(
         [p.assign(**{key: name}) for name, p in parts.items()], ignore_index=True
@@ -123,6 +174,7 @@ def dump(out: Path) -> None:
         X = models[name].features(te)
         probas = {lab: clf.predict_proba(X) for lab, clf in models[name].classifiers.items()}
         items[f"proba.{name}"] = pd.DataFrame({"matcher_id": te, **probas})
+        items[f"selection.{name}"] = _selection(stages[name], models[name], FOLD_SEED)
     stage_e = mexi.build_transform_stage(
         early, tr, submatcher="none", nn=cfg.BENCH_NN, seed=FOLD_SEED, label_data=data
     )

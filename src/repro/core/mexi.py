@@ -12,7 +12,9 @@ Two-stage API designed around the experiment structure:
   the prepared bundle: train-fold thresholds → labels, train-only
   consensus, late fusion, binary-relevance classifier selection
   (logistic regression vs random forest, 3-fold CV as §IV-B2's "top
-  performing classifier").
+  performing classifier"). :func:`_select_classifiers` selects all four
+  labels in one pass: every logistic regression of one row count, over
+  all labels and CV folds, trains as one stacked fit.
 
 Late fusion is one mechanism: a network per late-fusion set (an LSTM per
 decision-sequence channel for Φ_Seq, a CNN per heat-map type for Φ_Spa)
@@ -193,11 +195,13 @@ class _Thresholded:
     the default 0.5 cutoff under-predicts rare positives and the
     all-four expert conjunction of §IV-F would select nobody. The
     threshold maximizing F1 on held-out CV predictions restores the
-    positive class."""
+    positive class. ``cv_scores`` keeps every candidate's CV accuracy,
+    by class name, so a run can say why ``clf`` won."""
 
-    def __init__(self, clf, threshold: float) -> None:
+    def __init__(self, clf, threshold: float, cv_scores: dict[str, float]) -> None:
         self.clf = clf
         self.threshold = threshold
+        self.cv_scores = cv_scores
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return (self.clf.predict_proba(X) >= self.threshold).astype(int)
@@ -228,38 +232,96 @@ def _best_f1_threshold(proba: np.ndarray, y: np.ndarray) -> float:
     return best_thr
 
 
-def _fit_best_classifier(X: np.ndarray, y: np.ndarray, *, seed: int):
-    """§IV-B2: train candidate classifiers, keep the top performer
-    (3-fold CV accuracy on the training rows), then tune its decision
-    threshold for F1 on the same CV predictions."""
-    if len(np.unique(y)) == 1:
-        return _Constant(int(y[0]))
-    candidates = [
-        lambda s: LogisticRegression(seed=s),
-        lambda s: RandomForest(n_estimators=60, seed=s),
+def _fit_logregs(fits: list) -> list[LogisticRegression]:
+    """One fitted logistic regression per ``(X, y, seed)`` of ``fits``.
+    Fits with the same shape and memory order train as one stacked fit,
+    which ``np.stack`` lays out in that order: the layout (a DataFrame's
+    matrix is column-major, a row selection of it row-major) sets the
+    order of the row sums and of the BLAS products, and padding unequal
+    row counts would change both."""
+    out: list = [None] * len(fits)
+    groups: dict[tuple, list[int]] = {}
+    for i, (X, _, _) in enumerate(fits):
+        groups.setdefault((X.shape, X.flags.f_contiguous), []).append(i)
+    for group in groups.values():
+        Xs, ys, seeds = zip(*(fits[i] for i in group))
+        clf = LogisticRegression(seed=list(seeds)).fit(np.stack(Xs), np.stack(ys))
+        for g, i in enumerate(group):
+            out[i] = clf.member(g)
+    return out
+
+
+def _cv_accuracy(
+    X: np.ndarray, y: np.ndarray, folds: list, models: list
+) -> tuple[float, np.ndarray]:
+    """One candidate's mean CV accuracy and held-out probabilities;
+    ``models[f]`` is its fit on fold f's training rows, or None where
+    those rows hold one class, which it then predicts."""
+    accs = []
+    proba = np.full(len(y), np.nan)
+    for (te, tr), clf in zip(folds, models):
+        if clf is None:
+            accs.append(float((y[te] == y[tr][0]).mean()))
+            proba[te] = float(y[tr][0])
+            continue
+        proba[te] = clf.predict_proba(X[te])
+        accs.append(float(((proba[te] >= 0.5).astype(int) == y[te]).mean()))
+    return float(np.mean(accs)), proba
+
+
+def _select_classifiers(X: np.ndarray, ys: list[np.ndarray], seeds: list[int]) -> list:
+    """§IV-B2 for every label: train candidate classifiers, keep the top
+    performer (3-fold CV accuracy on the training rows; a tie keeps
+    logistic regression), then tune its decision threshold for F1 on the
+    same CV predictions. Label i draws its split and its models from
+    ``seeds[i]``. Its logistic regressions train in stacked fits shared
+    with every other label: one per row count of the CV training folds,
+    then one refit of the labels they win."""
+    folds = {}  # label → its CV folds as (test rows, train rows)
+    for li, (y, seed) in enumerate(zip(ys, seeds)):
+        if len(np.unique(y)) > 1:
+            order = np.random.default_rng(seed).permutation(len(y))
+            folds[li] = [(order[f::3], np.setdiff1d(order, order[f::3])) for f in range(3)]
+    # folds whose training rows hold both classes fit; the others predict their one class
+    cv_fits = [
+        (li, f, tr)
+        for li, fl in folds.items()
+        for f, (_, tr) in enumerate(fl)
+        if len(np.unique(ys[li][tr])) > 1
     ]
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(y))
-    scores = []
-    cv_probas = []
-    for make in candidates:
-        accs = []
-        proba = np.full(len(y), np.nan)
-        for f in range(3):
-            te = order[f::3]
-            tr = np.setdiff1d(order, te)
-            if len(np.unique(y[tr])) == 1:
-                accs.append(float((y[te] == y[tr][0]).mean()))
-                proba[te] = float(y[tr][0])
-                continue
-            clf = make(seed).fit(X[tr], y[tr])
-            proba[te] = clf.predict_proba(X[te])
-            accs.append(float(((proba[te] >= 0.5).astype(int) == y[te]).mean()))
-        scores.append(float(np.mean(accs)))
-        cv_probas.append(proba)
-    k = int(np.argmax(scores))
-    thr = _best_f1_threshold(cv_probas[k], y)
-    return _Thresholded(candidates[k](seed).fit(X, y), thr)
+    fitted = _fit_logregs([(X[tr], ys[li][tr], seeds[li]) for li, _, tr in cv_fits])
+    logreg_cv = {(li, f): clf for (li, f, _), clf in zip(cv_fits, fitted)}
+    picked: list = []
+    refit = []  # (label, threshold, scores) of the labels logistic regression wins
+    for li, (y, seed) in enumerate(zip(ys, seeds)):
+        if li not in folds:
+            picked.append(_Constant(int(y[0])))
+            continue
+        # both candidates fit exactly the folds whose training rows hold both classes
+        forest = [
+            RandomForest(n_estimators=60, seed=seed).fit(X[tr], y[tr])
+            if (li, f) in logreg_cv
+            else None
+            for f, (_, tr) in enumerate(folds[li])
+        ]
+        logreg = [logreg_cv.get((li, f)) for f in range(3)]
+        cv = {
+            "LogisticRegression": _cv_accuracy(X, y, folds[li], logreg),
+            "RandomForest": _cv_accuracy(X, y, folds[li], forest),
+        }
+        scores = {name: acc for name, (acc, _) in cv.items()}
+        winner = max(scores, key=scores.get)
+        thr = _best_f1_threshold(cv[winner][1], y)
+        if winner == "RandomForest":
+            forest_all = RandomForest(n_estimators=60, seed=seed).fit(X, y)
+            picked.append(_Thresholded(forest_all, thr, scores))
+        else:
+            picked.append(None)
+            refit.append((li, thr, scores))
+    clfs = _fit_logregs([(X, ys[li], seeds[li]) for li, _, _ in refit])
+    for (li, thr, scores), clf in zip(refit, clfs):
+        picked[li] = _Thresholded(clf, thr, scores)
+    return picked
 
 
 def _late_fusion(data: PreparedData, ids: list[str], networks) -> pd.DataFrame:
@@ -412,14 +474,12 @@ def fit_from_stage(
         stage.transformed["matcher_id"].isin(stage.fit_ids)
     ].merge(stage.labels_for(stage.fit_ids), on="matcher_id")
     X = fit_rows[feature_cols].to_numpy(dtype=float)
-    classifiers = {}
-    for li, lab in enumerate(LABELS):
-        y = fit_rows[lab].to_numpy(dtype=int)
-        classifiers[lab] = _fit_best_classifier(X, y, seed=seed + 17 * li)
+    ys = [fit_rows[lab].to_numpy(dtype=int) for lab in LABELS]
+    picked = _select_classifiers(X, ys, [seed + 17 * li for li in range(len(LABELS))])
     return MExIModel(
         include_sets=tuple(include_sets),
         feature_cols=feature_cols,
-        classifiers=classifiers,
+        classifiers=dict(zip(LABELS, picked)),
         transformed=stage.transformed,
         networks={s: net for s, net in stage.networks.items() if s in include_sets},
     )

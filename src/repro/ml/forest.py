@@ -4,24 +4,18 @@ This is the reproduction's "classic classifier" #2 (stand-in for the
 scikit-learn Random Forest the paper uses; see DESIGN.md §2). Bootstrap
 sampling + sqrt-feature subsampling per split. Each node's split search
 is one vectorized pass over all its candidate features: one stable sort
-of the candidate columns, cumulative class counts, and the gini gain of
-every (distinct threshold, feature) pair (exact CART, no quantile
-capping). Prediction moves all rows down the node arrays together, one
-gather per level; a forest walks all its trees at once.
+of the candidate columns, one gather of the sorted values, cumulative
+positive counts (the right side's are the node's count minus the
+left's), and the gini gain of every (distinct threshold, feature) pair
+(exact CART, no quantile capping). Prediction moves all rows down the
+node arrays together, one gather per level; a forest walks all its
+trees at once.
 """
 from __future__ import annotations
 
 import numpy as np
 
 __all__ = ["DecisionTree", "RandomForest"]
-
-
-def _gini(counts: np.ndarray) -> float:
-    n = counts.sum()
-    if n == 0:
-        return 0.0
-    p = counts / n
-    return 1.0 - float(np.sum(p * p))
 
 
 class DecisionTree:
@@ -56,14 +50,18 @@ class DecisionTree:
         n, d = X.shape
         k = self.max_features or d
         feats = rng.choice(d, size=min(k, d), replace=False)
-        parent_gini = _gini(np.bincount(y, minlength=2))
+        n1 = int(y.sum())
+        p0, p1 = (n - n1) / n, n1 / n
+        parent_gini = 1.0 - (p0 * p0 + p1 * p1)
         Xf = X[:, feats]
         order = np.argsort(Xf, axis=0, kind="stable")
-        cs = np.take_along_axis(Xf, order, axis=0)
-        # cut i: left = the first i+1 sorted rows of a column
-        c1l = np.cumsum(y[order], axis=0)[:-1].astype(float)
-        c1r = y.sum() - c1l
-        nl = np.arange(1, n)[:, None]
+        cols = np.arange(len(feats))
+        cs = Xf[order, cols]
+        # cut i: left = the first i+1 sorted rows of a column; the counts
+        # are exact floats, so the divisions below cast nothing
+        c1l = np.cumsum(y[order[:-1]], axis=0, dtype=float)
+        c1r = n1 - c1l
+        nl = np.arange(1.0, n)[:, None]
         nr = n - nl
         p1l = c1l / nl
         p1r = c1r / nr
@@ -73,7 +71,7 @@ class DecisionTree:
         ok = (cs[:-1] < cs[1:]) & (nl >= self.min_samples_leaf) & (nr >= self.min_samples_leaf)
         gain = np.where(ok, gain, -np.inf)
         cut = np.argmax(gain, axis=0)
-        best = gain[cut, np.arange(len(feats))]
+        best = gain[cut, cols]
         j = int(np.argmax(best))
         if not best[j] > 1e-9:
             return None
@@ -82,7 +80,7 @@ class DecisionTree:
 
     def _grow(self, X: np.ndarray, y: np.ndarray, depth: int, rng) -> int:
         idx = len(self._feat)
-        val = float(y.mean()) if y.size else 0.5
+        val = float(y.sum() / y.size) if y.size else 0.5
         self._feat.append(-1)
         self._thr.append(0.0)
         self._left.append(-1)

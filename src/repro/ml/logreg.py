@@ -2,9 +2,17 @@
 
 scikit-learn is unavailable offline, so this is the reproduction's
 "classic classifier" #1 (the paper trains a set of classic classifiers
-and keeps the top performer; see `repro.core.mexi._fit_best_classifier`).
+and keeps the top performer; see `repro.core.mexi._select_classifiers`).
 Features are standardized internally so callers pass raw feature frames.
 The sigmoid and the Adam step are those of ``repro.ml.train``.
+
+One fit may train a stack of G independent regressions on a leading
+member axis, X (G, n, d) and y (G, n): member g standardizes its own
+rows and draws its initial weights from ``default_rng(seed[g])``. Every
+member equals a separate fit on its own (n, d) array bit for bit when
+the stack lays each member out in that array's memory order (as
+``np.stack`` does for arrays of one order). Members must share n:
+padding would change the order of the row sums.
 """
 from __future__ import annotations
 
@@ -23,7 +31,8 @@ class LogisticRegression:
     """Binary classifier: p(y=1|x) = sigmoid(w·x_std + b).
 
     Optimized with full-batch Adam (beta1=.9, beta2=.999, η = ``LR``)
-    on cross-entropy, as in §IV-B.
+    on cross-entropy, as in §IV-B. ``seed`` is one int, or one per
+    member of a stacked fit.
     """
 
     def __init__(
@@ -31,13 +40,13 @@ class LogisticRegression:
         *,
         l2: float = 1e-2,
         epochs: int = 800,
-        seed: int = 0,
+        seed: int | list[int] = 0,
     ) -> None:
         self.l2 = l2
         self.epochs = epochs
         self.seed = seed
         self.w_: np.ndarray | None = None
-        self.b_: float = 0.0
+        self.b_: float | np.ndarray = 0.0
         self.mu_: np.ndarray | None = None
         self.sd_: np.ndarray | None = None
 
@@ -45,27 +54,47 @@ class LogisticRegression:
         return (X - self.mu_) / self.sd_
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "LogisticRegression":
+        """Fit on X (n, d) and y (n,), or a stack of G members on X
+        (G, n, d) and y (G, n); a stacked fit keeps (G, ...) arrays and
+        :meth:`member` gives each member as a single classifier."""
         X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float).ravel()
-        if X.ndim != 2 or X.shape[0] != y.size:
+        y = np.asarray(y, dtype=float)
+        single = X.ndim == 2
+        if single:
+            X, y = X[None], y.ravel()[None]
+        if X.ndim != 3 or X.shape[:2] != y.shape:
             raise ValueError(f"bad shapes X{X.shape} y{y.shape}")
-        self.mu_ = X.mean(axis=0)
-        self.sd_ = X.std(axis=0)
-        self.sd_[self.sd_ < 1e-12] = 1.0
-        Xs = self._standardize(X)
-        n, d = Xs.shape
-        rng = np.random.default_rng(self.seed)
-        theta = np.append(rng.normal(0, 0.01, d), 0.0)  # the weights, then the intercept
-        w, b = theta[:-1], theta[-1:]
+        G, n, d = X.shape
+        mu = X.mean(axis=1, keepdims=True)
+        sd = X.std(axis=1, keepdims=True)
+        sd[sd < 1e-12] = 1.0
+        Xs = (X - mu) / sd
+        XsT = Xs.transpose(0, 2, 1)
+        seeds = np.broadcast_to(self.seed, (G,))
+        # per member: the weights, then the intercept
+        theta = np.stack(
+            [np.append(np.random.default_rng(s).normal(0, 0.01, d), 0.0) for s in seeds]
+        )
+        w, b = theta[:, :-1], theta[:, -1:]
         grad = np.empty_like(theta)  # written in place each epoch, laid out as theta
         adam = Adam({"theta": theta}, LR)
         for _ in range(self.epochs):
-            err = sigmoid(Xs @ w + b) - y
-            np.add(Xs.T @ err / n, self.l2 * w, out=grad[:-1])
-            grad[-1] = np.add.reduce(err) / n
+            # (G, n, d) @ (G, d, 1): one matrix-vector product per member
+            err = sigmoid((Xs @ w[..., None])[..., 0] + b) - y
+            np.add((XsT @ err[..., None])[..., 0] / n, self.l2 * w, out=grad[:, :-1])
+            grad[:, -1] = np.add.reduce(err, axis=1) / n
             adam.step({"theta": grad})
-        self.w_, self.b_ = w, float(b[0])
+        self.w_, self.b_, self.mu_, self.sd_ = w, b[:, 0], mu[:, 0], sd[:, 0]
+        if single:
+            one = self.member(0)
+            self.w_, self.b_, self.mu_, self.sd_ = one.w_, one.b_, one.mu_, one.sd_
         return self
+
+    def member(self, g: int) -> "LogisticRegression":
+        """Member ``g`` of a stacked fit as a fitted single classifier."""
+        one = LogisticRegression(l2=self.l2, epochs=self.epochs)
+        one.w_, one.b_, one.mu_, one.sd_ = self.w_[g], float(self.b_[g]), self.mu_[g], self.sd_[g]
+        return one
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         if self.w_ is None:

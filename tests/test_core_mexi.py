@@ -10,8 +10,9 @@ from repro.core.features import ALL_SETS, FEATURE_SETS
 from repro.core.measures import LABELS
 from repro.core.mexi import (
     NNParams,
+    _best_f1_threshold,
     _Constant,
-    _fit_best_classifier,
+    _select_classifiers,
     _Thresholded,
     build_transform_stage,
     fit_from_stage,
@@ -20,6 +21,8 @@ from repro.core.mexi import (
 )
 from repro.core.submatchers import is_sub
 from repro.humansim import build_cohort
+from repro.ml.forest import RandomForest
+from repro.ml.logreg import LogisticRegression
 
 _NN = NNParams(lstm_hidden=6, lstm_dense=6, lstm_epochs=3, cnn_filters=3, cnn_epochs=3)
 
@@ -221,7 +224,7 @@ class TestFitBestClassifierDegenerate:
 
     def test_single_class_is_constant(self):
         X = np.random.default_rng(0).normal(size=(12, 5))
-        clf = _fit_best_classifier(X, np.ones(12, dtype=int), seed=3)
+        clf = _select_classifiers(X, [np.ones(12, dtype=int)], [3])[0]
         assert isinstance(clf, _Constant)
         assert clf.predict(X).tolist() == [1] * 12
 
@@ -231,12 +234,98 @@ class TestFitBestClassifierDegenerate:
         X = rng.normal(size=(30, 6))
         y = np.zeros(30, dtype=int)
         y[7] = 1
-        clf = _fit_best_classifier(X, y, seed=11)
+        clf = _select_classifiers(X, [y], [11])[0]
         assert isinstance(clf, _Thresholded)
         assert clf.threshold == 0.5 or np.isclose(clf.threshold, np.linspace(0.25, 0.45, 5)).any()
         pred = clf.predict(X)
         assert set(pred.tolist()) <= {0, 1}
-        again = _fit_best_classifier(X, y, seed=11)
+        again = _select_classifiers(X, [y], [11])[0]
         assert again.threshold == clf.threshold
         np.testing.assert_array_equal(again.predict_proba(X), clf.predict_proba(X))
         np.testing.assert_array_equal(again.predict(X), pred)
+
+
+def _frozen_fit_best_classifier(X: np.ndarray, y: np.ndarray, *, seed: int):
+    """Per-label model selection before the batched one: each label's
+    candidates fit one at a time. Returns the classifier and the
+    candidates' CV accuracies."""
+    if len(np.unique(y)) == 1:
+        return _Constant(int(y[0])), None
+    candidates = [
+        lambda s: LogisticRegression(seed=s),
+        lambda s: RandomForest(n_estimators=60, seed=s),
+    ]
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(len(y))
+    scores = []
+    cv_probas = []
+    for make in candidates:
+        accs = []
+        proba = np.full(len(y), np.nan)
+        for f in range(3):
+            te = order[f::3]
+            tr = np.setdiff1d(order, te)
+            if len(np.unique(y[tr])) == 1:
+                accs.append(float((y[te] == y[tr][0]).mean()))
+                proba[te] = float(y[tr][0])
+                continue
+            clf = make(seed).fit(X[tr], y[tr])
+            proba[te] = clf.predict_proba(X[te])
+            accs.append(float(((proba[te] >= 0.5).astype(int) == y[te]).mean()))
+        scores.append(float(np.mean(accs)))
+        cv_probas.append(proba)
+    k = int(np.argmax(scores))
+    thr = _best_f1_threshold(cv_probas[k], y)
+    return _Thresholded(candidates[k](seed).fit(X, y), thr, {}), scores
+
+
+class TestBatchedSelectionMatchesPerLabel:
+    """The batched selection picks, per label, what the per-label loop
+    picks: the same class, threshold and probabilities, bit for bit."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_mixed_labels(self, order):
+        # fit_from_stage's matrix comes from a DataFrame: column-major
+        rng = np.random.default_rng(21)
+        X = np.asarray(rng.normal(size=(40, 7)), order=order)
+        ys = [
+            np.zeros(40, dtype=int),  # constant
+            (np.arange(40) == 5).astype(int),  # one positive: a single-class CV fold
+            (X[:, 0] + rng.normal(0, 0.5, 40) > 0).astype(int),
+            (X[:, 1] * X[:, 2] > 0.2).astype(int),
+        ]
+        seeds = [1000 + 17 * li for li in range(4)]
+        picked = _select_classifiers(X, ys, seeds)
+        X_new = rng.normal(size=(15, 7))
+        kinds = set()
+        for y, seed, clf in zip(ys, seeds, picked):
+            ref, scores = _frozen_fit_best_classifier(X, y, seed=seed)
+            assert type(clf) is type(ref)
+            if isinstance(ref, _Constant):
+                assert clf.value == ref.value
+                continue
+            assert type(clf.clf) is type(ref.clf)
+            kinds.add(type(clf.clf).__name__)
+            assert clf.threshold == ref.threshold
+            assert list(clf.cv_scores.values()) == scores
+            for Z in (X, X_new):
+                np.testing.assert_array_equal(clf.predict_proba(Z), ref.predict_proba(Z))
+        # both refit paths ran: a stacked logreg refit and a forest refit
+        assert isinstance(picked[0], _Constant)
+        assert kinds == {"LogisticRegression", "RandomForest"}
+
+    def test_all_labels_constant_fit_nothing(self, monkeypatch):
+        calls = []
+
+        def refuse(self, X, y):
+            calls.append(np.shape(X))
+            raise AssertionError("no fit expected")
+
+        monkeypatch.setattr(LogisticRegression, "fit", refuse)
+        monkeypatch.setattr(RandomForest, "fit", refuse)
+        X = np.random.default_rng(2).normal(size=(10, 4))
+        ys = [np.full(10, v, dtype=int) for v in (0, 1, 1, 0)]
+        picked = _select_classifiers(X, ys, [0, 17, 34, 51])
+        assert calls == []
+        assert [type(c) for c in picked] == [_Constant] * 4
+        assert [c.value for c in picked] == [0, 1, 1, 0]

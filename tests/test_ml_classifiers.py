@@ -85,6 +85,15 @@ class TestDecisionTree:
         assert ((deep.predict_proba(X) >= 0.5).astype(int) == y).mean() > 0.9
 
 
+def _gini(counts: np.ndarray) -> float:
+    """Gini impurity of class counts, as the reference computes it."""
+    n = counts.sum()
+    if n == 0:
+        return 0.0
+    p = counts / n
+    return 1.0 - float(np.sum(p * p))
+
+
 class _LoopTree(DecisionTree):
     """Reference CART: the per-feature loop split search, the np.unique
     purity test and the per-row predict walk, kept as the independent
@@ -94,7 +103,7 @@ class _LoopTree(DecisionTree):
         n, d = X.shape
         k = self.max_features or d
         feats = rng.choice(d, size=min(k, d), replace=False)
-        parent_gini = forest._gini(np.bincount(y, minlength=2))
+        parent_gini = _gini(np.bincount(y, minlength=2))
         best = None
         best_gain = 1e-9
         msl = self.min_samples_leaf

@@ -122,3 +122,60 @@ class TestLogRegLoop:
             np.testing.assert_array_equal(m.w_, w)
             assert m.b_ == b
             np.testing.assert_array_equal(m.predict_proba(X), _where_form((X - mu) / sd @ w + b))
+
+
+def _assert_member_equals_frozen(m, X, y, *, l2, seed, epochs=300):
+    w, b, mu, sd = _frozen_logreg_fit(X, y, l2=l2, epochs=epochs, seed=seed)
+    np.testing.assert_array_equal(_bits(m.w_), _bits(w))
+    assert m.b_ == b
+    np.testing.assert_array_equal(_bits(m.mu_), _bits(mu))
+    np.testing.assert_array_equal(_bits(m.sd_), _bits(sd))
+    np.testing.assert_array_equal(_bits(m.predict_proba(X)), _bits(_where_form((X - mu) / sd @ w + b)))
+
+
+class TestStackedLogReg:
+    """Every member of a stacked fit equals its own single fit, bit for bit."""
+
+    @staticmethod
+    def _members(rng, G, n, d=9):
+        X = rng.normal(0, 1, (G, n, d)) * rng.uniform(0.5, 3.0, (G, 1, d))
+        X[:, :, 3] = 1.5  # a constant column: sd falls back to 1
+        y = (X[..., 0] + rng.normal(0, 1, (G, n)) > 0).astype(float)
+        return X, y
+
+    @pytest.mark.parametrize("l2", [1e-2, 1e-4])
+    @pytest.mark.parametrize("G", [1, 4])
+    def test_members_equal_single_fits(self, l2, G):
+        rng = np.random.default_rng(3)
+        X, y = self._members(rng, G, 37)
+        seeds = [11 * g + 2 for g in range(G)]
+        stack = LogisticRegression(l2=l2, epochs=300, seed=seeds).fit(X, y)
+        assert stack.w_.shape == (G, 9)
+        for g in range(G):
+            _assert_member_equals_frozen(stack.member(g), X[g], y[g], l2=l2, seed=seeds[g])
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_two_row_counts_in_one_call(self, order, monkeypatch):
+        """``_fit_logregs`` stacks the fits of equal row count, keeps each
+        fit's own rows, labels, seed and memory order (a DataFrame's
+        matrix is column-major), and pads nothing."""
+        from repro.core.mexi import _fit_logregs
+
+        rng = np.random.default_rng(5)
+        X = self._members(rng, 1, 40)[0][0]
+        Y = (rng.random((5, 40)) < 0.4).astype(float)
+        rows = [np.setdiff1d(np.arange(40), np.arange(f, 40, 3)) for f in (0, 1, 0, 2, 1)]
+        fits = [(np.asarray(X[r], order=order), Y[i, r], 100 + i) for i, r in enumerate(rows)]
+        seen = []
+        original = LogisticRegression.fit
+
+        def spy(self, X, y):
+            seen.append(np.shape(X))
+            return original(self, X, y)
+
+        monkeypatch.setattr(LogisticRegression, "fit", spy)
+        models = _fit_logregs(fits)
+        monkeypatch.undo()
+        for (Xm, y, s), m in zip(fits, models):
+            _assert_member_equals_frozen(m, Xm, y, l2=1e-2, seed=s, epochs=800)
+        assert sorted(seen) == [(2, 26, 9), (3, 27, 9)]
