@@ -1,4 +1,5 @@
-"""Shared reduced-scale configuration for the per-table benchmarks.
+"""Shared reduced-scale configuration for the per-table benchmarks and
+the jobs' ``--fast`` runs.
 
 Benchmarks exercise the same code paths as the full jobs at a smaller
 cohort / network scale so a full benchmark run stays in minutes. The
@@ -17,3 +18,4 @@ BENCH_N_MATCHERS = 36
 BENCH_K = 3
 BENCH_N_PERM = 30
 BENCH_GRID = 16
+BENCH_OAEI_N = 12  # Table IIb's OAEI cohort

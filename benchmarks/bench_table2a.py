@@ -5,20 +5,15 @@ all baselines and the accuracy aggregation at benchmark scale.
 """
 import pytest
 
-from benchmarks._config import BENCH_K, BENCH_N_MATCHERS, BENCH_N_PERM, BENCH_NN, BENCH_GRID
+from jobs._common import po_experiment
 
 
 @pytest.mark.benchmark(group="table2a")
 def test_table2a_pipeline(benchmark, spark):
-    from repro.experiments import run_po_experiment, table2a
+    from repro.experiments import table2a
 
-    def run():
-        exp = run_po_experiment(
-            spark, n_matchers=BENCH_N_MATCHERS, k=BENCH_K, seed=0,
-            nn=BENCH_NN, n_perm=BENCH_N_PERM, grid=BENCH_GRID,
-        )
-        return table2a(exp)
-
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
+    result = benchmark.pedantic(
+        lambda: table2a(po_experiment(spark, fast=True)), rounds=1, iterations=1
+    )
     assert len(result) == 10  # 7 baselines + 3 MExI variants
     assert {"A_P", "A_R", "A_Res", "A_Cal", "A_ML"} <= set(result.columns)

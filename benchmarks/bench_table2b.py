@@ -1,7 +1,7 @@
 """Benchmark: Table IIb pipeline (PO-trained model tested on OAEI)."""
 import pytest
 
-from benchmarks._config import BENCH_N_MATCHERS, BENCH_N_PERM, BENCH_NN, BENCH_GRID
+from benchmarks._config import BENCH_GRID, BENCH_N_MATCHERS, BENCH_N_PERM, BENCH_NN, BENCH_OAEI_N
 
 
 @pytest.mark.benchmark(group="table2b")
@@ -10,7 +10,7 @@ def test_table2b_pipeline(benchmark, spark):
 
     def run():
         return table2b(
-            spark, po_n=BENCH_N_MATCHERS, oaei_n=12, seed=0,
+            spark, po_n=BENCH_N_MATCHERS, oaei_n=BENCH_OAEI_N, seed=0,
             nn=BENCH_NN, n_perm=BENCH_N_PERM, grid=BENCH_GRID,
         )
 

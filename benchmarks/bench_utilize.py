@@ -2,18 +2,6 @@
 fused-match vote aggregation in Spark)."""
 import pytest
 
-from benchmarks._config import BENCH_K, BENCH_N_MATCHERS, BENCH_N_PERM, BENCH_NN, BENCH_GRID
-
-
-@pytest.fixture(scope="module")
-def exp(spark):
-    from repro.experiments import run_po_experiment
-
-    return run_po_experiment(
-        spark, n_matchers=BENCH_N_MATCHERS, k=BENCH_K, seed=0,
-        nn=BENCH_NN, n_perm=BENCH_N_PERM, grid=BENCH_GRID,
-    )
-
 
 @pytest.mark.benchmark(group="utilize")
 def test_utilization_pipeline(benchmark, spark, exp):

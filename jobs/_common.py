@@ -1,11 +1,14 @@
 """Shared SparkSession builder for the spark-submit job entrypoints, the
 test session (``conftest.py``) and the benchmark, so all three run under
 one session config (32 shuffle partitions, Arrow on, broadcast joins
-disabled).
+disabled); and the jobs' one scale switch: full scale, or with
+``--fast`` the benchmarks' reduced scale (``benchmarks/_config.py``).
 """
 from __future__ import annotations
 
 import os
+import sys
+from pathlib import Path
 
 from pyspark.sql import SparkSession
 
@@ -27,3 +30,26 @@ def get_spark(app: str) -> SparkSession:
     )
     s.sparkContext.setLogLevel("ERROR")
     return s
+
+
+def bench_config():
+    """``benchmarks/_config.py``, the reduced scale of the benchmarks and
+    of the jobs' ``--fast`` runs."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+    from benchmarks import _config
+
+    return _config
+
+
+def po_experiment(spark: SparkSession, fast: bool):
+    """The seed-0 PO experiment at full scale, or at the benchmarks'
+    scale with ``fast``."""
+    from repro.experiments import run_po_experiment
+
+    if not fast:
+        return run_po_experiment(spark, seed=0, n_perm=100)
+    cfg = bench_config()
+    return run_po_experiment(
+        spark, n_matchers=cfg.BENCH_N_MATCHERS, k=cfg.BENCH_K, seed=0,
+        nn=cfg.BENCH_NN, n_perm=cfg.BENCH_N_PERM, grid=cfg.BENCH_GRID,
+    )

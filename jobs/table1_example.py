@@ -2,26 +2,22 @@
 
 Prints the paper's Table I, the derived matching matrix (Eq. 1), and the
 resulting measures (P = R = 3/4, Res = 1.0 with insignificant p-value,
-under-confident calibration), matching §II's worked example.
+under-confident calibration), matching §II's worked example. The matrix
+and the measures come from ``final_entries`` and ``history_measures``,
+the functions ``prepare``'s per-matcher extraction kernel runs.
 
-Run: ``spark-submit jobs/table1_example.py`` (or plain ``python``).
+Run: ``python jobs/table1_example.py`` (needs no Spark session).
 """
 from __future__ import annotations
 
-import sys
-from pathlib import Path
-
 import pandas as pd
 
-sys.path.insert(0, str(Path(__file__).parent))
-from _common import get_spark  # noqa: E402
+from repro.core.matrix import final_entries
+from repro.core.measures import history_measures, reference_pairs
 
 
-def main() -> None:
-    spark = get_spark("table1-example")
-    from repro.core.matrix import history_to_matrix
-    from repro.core.measures import matcher_measures
-
+def example() -> tuple[pd.DataFrame, pd.DataFrame, dict]:
+    """Table I's decision history, its Eq. 1 matrix and its measures."""
     hist = pd.DataFrame(
         [
             ("h", "PO", 0, 3, 4, 1.0, 3.0),
@@ -33,19 +29,21 @@ def main() -> None:
         columns=["matcher_id", "task", "step", "row_i", "col_j", "conf", "t"],
     )
     ref = pd.DataFrame(
-        [("PO", 1, 1, 0.1), ("PO", 1, 2, 0.1), ("PO", 2, 3, 0.1), ("PO", 3, 4, 0.1)],
-        columns=["task", "row_i", "col_j", "difficulty"],
+        [("PO", 1, 1), ("PO", 1, 2), ("PO", 2, 3), ("PO", 3, 4)],
+        columns=["task", "row_i", "col_j"],
     )
+    entries = final_entries(hist)
+    return hist, entries, history_measures(hist, entries, reference_pairs(ref)["PO"], n_perm=400)
+
+
+def main() -> None:
+    hist, entries, measures = example()
     print("Table I (decision history):")
     print(hist.to_string(index=False))
     print("\nMatching matrix entries (Eq. 1, latest confidence wins):")
-    print(history_to_matrix(spark.createDataFrame(hist)).toPandas().to_string(index=False))
+    print(entries[["row_i", "col_j", "conf"]].to_string(index=False))
     print("\nMeasures (Eqs. 2-5):")
-    m = matcher_measures(
-        spark, spark.createDataFrame(hist), spark.createDataFrame(ref), n_perm=400
-    ).toPandas()
-    print(m.round(3).to_string(index=False))
-    spark.stop()
+    print(pd.DataFrame([measures]).round(3).to_string(index=False))
 
 
 if __name__ == "__main__":

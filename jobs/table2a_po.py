@@ -5,7 +5,8 @@ simulated matchers; prints mean A_P, A_R, A_Res, A_Cal, A_ML per method
 with the bootstrap significance flag vs LRSM (the paper's asterisk).
 
 Run: ``spark-submit jobs/table2a_po.py [--fast]``. The optional --fast
-flag shrinks the cohort and networks for a quick smoke run.
+flag, as in every table job, runs the benchmarks' reduced scale
+(``benchmarks/_config.py``) for a quick smoke run.
 """
 from __future__ import annotations
 
@@ -13,21 +14,14 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
-from _common import get_spark  # noqa: E402
+from _common import get_spark, po_experiment  # noqa: E402
 
 
 def main(fast: bool = False) -> None:
     spark = get_spark("table2a-po")
-    from repro.core.mexi import NNParams
-    from repro.experiments import run_po_experiment, table2a
+    from repro.experiments import table2a
 
-    if fast:
-        nn = NNParams(lstm_hidden=16, lstm_dense=16, lstm_epochs=8,
-                      cnn_filters=4, cnn_epochs=10)
-        exp = run_po_experiment(spark, n_matchers=40, k=3, seed=0, nn=nn,
-                                n_perm=40, grid=16)
-    else:
-        exp = run_po_experiment(spark, seed=0, n_perm=100)
+    exp = po_experiment(spark, fast)
     print("\nTable IIa — Schema Matching (PO):")
     print(table2a(exp).round(2).to_string(index=False))
     spark.stop()

@@ -11,18 +11,17 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
-from _common import get_spark  # noqa: E402
+from _common import bench_config, get_spark  # noqa: E402
 
 
 def main(fast: bool = False) -> None:
     spark = get_spark("table2b-oaei")
-    from repro.core.mexi import NNParams
     from repro.experiments import table2b
 
     if fast:
-        nn = NNParams(lstm_hidden=16, lstm_dense=16, lstm_epochs=8,
-                      cnn_filters=4, cnn_epochs=10)
-        t = table2b(spark, po_n=40, oaei_n=16, seed=0, nn=nn, n_perm=40, grid=16)
+        cfg = bench_config()
+        t = table2b(spark, po_n=cfg.BENCH_N_MATCHERS, oaei_n=cfg.BENCH_OAEI_N, seed=0,
+                    nn=cfg.BENCH_NN, n_perm=cfg.BENCH_N_PERM, grid=cfg.BENCH_GRID)
     else:
         t = table2b(spark, seed=0, n_perm=100)
     print("\nTable IIb — Ontology Alignment (OAEI):")

@@ -27,7 +27,12 @@ item:
 - ``baselines.own`` / ``baselines.oaei``: the seven baselines on the
   test fold and on the OAEI bundle;
 - ``truth.fold0`` / ``truth.oaei``: ground-truth labels from train-fold
-  thresholds.
+  thresholds;
+- ``tables.<name>``: every frame the table harness returns at bench
+  scale (all ``k`` folds, seed 0): ``table2a``, ``table3``, ``table4``
+  and ``utilize_perf_full`` / ``utilize_perf_early`` / ``utilize_fused``
+  (``utilization_tables``, early limit 15) of one ``run_po_experiment``,
+  and ``table2b`` (bench-scale PO cohort, 12 OAEI matchers).
 
 ``compare`` prints, per item, whether the two dumps are
 ``DataFrame.equals`` with the same columns and dtypes, and exits 1 if
@@ -37,7 +42,7 @@ absolute difference, so a change that is not bit-equal says how far off
 it is.
 
 Run (the hash seed is fixed to 0, re-executing if needed, because the
-cohort depends on it; about a minute on 4 cores):
+cohort depends on it; 65–80 s on 4 cores):
 
     python scripts/golden.py dump OUT_DIR [--repo CHECKOUT]
     python scripts/golden.py compare A_DIR B_DIR
@@ -145,6 +150,20 @@ def _stacked(parts: dict[str, pd.DataFrame], key: str) -> pd.DataFrame:
     )
 
 
+def _tables(spark, cfg) -> dict[str, pd.DataFrame]:
+    """The harness's tables at bench scale, one item per returned frame."""
+    from repro import experiments as E
+
+    kw = dict(seed=0, nn=cfg.BENCH_NN, n_perm=cfg.BENCH_N_PERM, grid=cfg.BENCH_GRID)
+    exp = E.run_po_experiment(spark, n_matchers=cfg.BENCH_N_MATCHERS, k=cfg.BENCH_K, **kw)
+    items = {"tables.table2a": E.table2a(exp), "tables.table3": E.table3(exp),
+             "tables.table4": E.table4(exp)}
+    for name, frame in E.utilization_tables(spark, exp, early_limit=EARLY_LIMIT).items():
+        items[f"tables.utilize_{name}"] = frame
+    items["tables.table2b"] = E.table2b(spark, po_n=cfg.BENCH_N_MATCHERS, oaei_n=OAEI_N, **kw)
+    return items
+
+
 def dump(out: Path) -> None:
     from _common import get_spark
 
@@ -223,6 +242,7 @@ def dump(out: Path) -> None:
         ),
         "method",
     )
+    items.update(_tables(spark, cfg))
     spark.stop()
     out.mkdir(parents=True, exist_ok=True)
     for name, frame in items.items():

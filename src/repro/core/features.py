@@ -1,11 +1,11 @@
-"""Φ(D) assembly — aggregated feature sets joined in Spark.
+"""Φ(D) assembly — feature-set registry and the reference Spark join.
 
-Joins Φ_LRSM + Φ_Beh + Φ_Mou into one wide frame keyed by
-(matcher_id, task) and collects it (cohort scale). The late-fusion sets
-Φ_Seq / Φ_Spa are appended by :mod:`repro.core.mexi` after network
-training. ``FEATURE_SETS`` maps each paper feature-set name to its
-columns — the unit of ablation (Table III) and of importance grouping
-(Table IV).
+:func:`aggregated_features` joins Φ_LRSM + Φ_Beh + Φ_Mou in Spark: the
+reference for ``prepare``'s extraction kernel; production never calls
+it. The late-fusion sets Φ_Seq / Φ_Spa are appended by
+:mod:`repro.core.mexi` after network training. ``FEATURE_SETS`` maps
+each paper feature-set name to its columns — the unit of ablation
+(Table III) and of importance grouping (Table IV).
 """
 from __future__ import annotations
 

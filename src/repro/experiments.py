@@ -1,9 +1,9 @@
 """Experiment harness — one function per paper table (DESIGN.md §5).
 
-Everything is deterministic in ``seed``. The PO experiment object bundles
-the prepared data, folds, per-fold ground truth and per-fold predictions
-of every method, so Tables IIa, III and IV (and the §IV-F utilization
-analysis) share one expensive extraction + training pass.
+Everything is deterministic in ``seed``. Every (train, test) split runs
+through :func:`_run_split`; the PO experiment object bundles its folds'
+outputs, so Tables IIa, III and IV (and the §IV-F utilization analysis)
+share one expensive extraction + training pass.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.core.baselines import BASELINE_NAMES, baseline_predictions
+from repro.core.baselines import baseline_predictions
 from repro.core.evaluate import (
     accuracy_row,
     bootstrap_pvalue,
@@ -26,6 +26,7 @@ from repro.core.mexi import (  # noqa: F401 (MExIModel re-exported)
     MExIModel,
     NNParams,
     PreparedData,
+    _TransformStage,
     build_transform_stage,
     fit_from_stage,
     prepare,
@@ -49,6 +50,14 @@ MEXI_VARIANTS = {"MExI_none": "none", "MExI_50": "50", "MExI_70": "70"}
 # MExI's five feature sets, in the classifiers' column and Table III row order
 MEXI_SETS = ("LRSM", "Mou", "Beh", "Seq", "Spa")
 REFERENCE_METHOD = "LRSM"  # Table II's significance stars compare against it
+METRICS = ["A_P", "A_R", "A_Res", "A_Cal", "A_ML"]
+# Table III's refit masks; its full-mask row is Table IIa's MExI_50
+ABLATION_MASKS = {
+    **{f"include {s}": (s,) for s in MEXI_SETS},
+    **{f"exclude {s}": tuple(x for x in MEXI_SETS if x != s) for s in MEXI_SETS},
+}
+# §IV-F selections: method → the Table IIa predictions it selects from
+SELECTION_SOURCES = {"MExI": "MExI_50"} | {m: m for m in ["Conf", "Qual. Test", "Self-Assess"]}
 
 
 @dataclass
@@ -65,10 +74,41 @@ class POExperiment:
     seed: int = 0
 
 
-def _truth_for(data: PreparedData, train_ids: list[str], ids: list[str]) -> pd.DataFrame:
-    """Ground-truth labels for ``ids`` with thresholds from ``train_ids``."""
-    lab, _, _ = train_fold_labels(data.measures, train_ids)
+def _fold_seed(seed: int, fi: int) -> int:
+    """Seed of fold ``fi``'s baselines, networks and classifiers."""
+    return seed + 1000 * (fi + 1)
+
+
+def _truth_for(
+    data: PreparedData, train_ids: list[str], ids: list[str], test_data: PreparedData | None = None
+) -> pd.DataFrame:
+    """Ground-truth labels for ``ids`` of ``test_data`` (default ``data``)
+    with thresholds from ``train_ids`` of ``data``."""
+    lab, _, _ = train_fold_labels(data.measures, train_ids, (test_data or data).measures)
     return lab[lab["matcher_id"].isin(ids)]
+
+
+def _run_split(
+    data: PreparedData, train_ids: list[str], test_ids: list[str], *, nn: NNParams, seed: int,
+    test_data: PreparedData | None = None,
+) -> tuple[pd.DataFrame, dict[str, pd.DataFrame], _TransformStage, MExIModel]:
+    """One (train, test) split of §IV-B1: the test matchers' ground truth,
+    every method's predictions for them (7 baselines + 3 MExI variants)
+    and the MExI_50 stage and model that Tables III and IV reuse.
+    ``test_data`` is the test matchers' bundle when it is not the train
+    one (Table IIb)."""
+    truth = _truth_for(data, train_ids, test_ids, test_data)
+    preds = baseline_predictions(
+        data, train_ids, test_ids, _truth_for(data, train_ids, train_ids),
+        seed=seed, test_data=test_data,
+    )
+    for name, spec in MEXI_VARIANTS.items():
+        stage = build_transform_stage(data, train_ids, submatcher=spec, nn=nn, seed=seed)
+        model = fit_from_stage(stage, MEXI_SETS, seed=seed)
+        preds[name] = model.predict(test_ids, data=test_data)
+        if name == "MExI_50":
+            stage_50, model_50 = stage, model
+    return truth, preds, stage_50, model_50
 
 
 def run_po_experiment(
@@ -86,27 +126,12 @@ def run_po_experiment(
     cohort = build_cohort("PO", n_matchers=n_matchers, seed=seed)
     data = prepare(spark, cohort, n_perm=n_perm, grid=grid, seed=seed)
     folds = kfold_ids(data.full_ids, k=k, seed=seed)
-    preds: dict[str, list[pd.DataFrame]] = {
-        name: [] for name in [*BASELINE_NAMES, *MEXI_VARIANTS]
-    }
-    truth, stages_50, models_50 = [], [], []
-    for fi, (tr, te) in enumerate(folds):
-        fold_seed = seed + 1000 * (fi + 1)
-        truth.append(_truth_for(data, tr, te))
-        train_labels = _truth_for(data, tr, tr)
-        for name, p in baseline_predictions(
-            data, tr, te, train_labels, seed=fold_seed
-        ).items():
-            preds[name].append(p)
-        for name, spec in MEXI_VARIANTS.items():
-            stage = build_transform_stage(
-                data, tr, submatcher=spec, nn=nn, seed=fold_seed
-            )
-            model = fit_from_stage(stage, MEXI_SETS, seed=fold_seed)
-            preds[name].append(model.predict(te))
-            if name == "MExI_50":
-                stages_50.append(stage)
-                models_50.append(model)
+    splits = [
+        _run_split(data, tr, te, nn=nn, seed=_fold_seed(seed, fi))
+        for fi, (tr, te) in enumerate(folds)
+    ]
+    truth, fold_preds, stages_50, models_50 = map(list, zip(*splits))
+    preds = {name: [p[name] for p in fold_preds] for name in fold_preds[0]}
     return POExperiment(
         data=data, folds=folds, truth=truth, preds=preds,
         stages_50=stages_50, models_50=models_50, nn=nn, seed=seed,
@@ -129,6 +154,12 @@ def _method_scores(truth: pd.DataFrame, pred: pd.DataFrame) -> dict[str, np.ndar
     return out
 
 
+def _fold_mean(truth_by_fold: list[pd.DataFrame], fold_preds: list[pd.DataFrame]) -> dict:
+    """One method's accuracies (:data:`METRICS`), each the mean over folds."""
+    per_fold = [accuracy_row(t, p) for t, p in zip(truth_by_fold, fold_preds)]
+    return {metric: float(np.mean([f[metric] for f in per_fold])) for metric in METRICS}
+
+
 def _accuracy_table(
     truth_by_fold: list[pd.DataFrame],
     preds: dict[str, list[pd.DataFrame]],
@@ -145,10 +176,7 @@ def _accuracy_table(
         else None
     )
     for method, fold_preds in preds.items():
-        per_fold = [accuracy_row(t, p) for t, p in zip(truth_by_fold, fold_preds)]
-        row = {"method": method}
-        for metric in ["A_P", "A_R", "A_Res", "A_Cal", "A_ML"]:
-            row[metric] = float(np.mean([f[metric] for f in per_fold]))
+        row = {"method": method, **_fold_mean(truth_by_fold, fold_preds)}
         if ref_scores is not None and method != REFERENCE_METHOD:
             scores = _method_scores(truth_all, _pooled(fold_preds))
             row["sig_vs_LRSM"] = all(
@@ -182,47 +210,28 @@ def table2b(
     oaei = build_cohort("OAEI", n_matchers=oaei_n, seed=seed)
     data_po = prepare(spark, po, n_perm=n_perm, grid=grid, seed=seed)
     data_oa = prepare(spark, oaei, sub_sizes=[], n_perm=n_perm, grid=grid, seed=seed)
-    tr = data_po.full_ids
-    te = data_oa.full_ids
-    # ground truth for OAEI matchers with thresholds from the PO train set
-    truth, _, _ = train_fold_labels(data_po.measures, tr, data_oa.measures)
-    truth = truth[truth["matcher_id"].isin(te)]
-    train_labels = _truth_for(data_po, tr, tr)
-
-    preds: dict[str, list[pd.DataFrame]] = {}
-    for name, p in baseline_predictions(
-        data_po, tr, te, train_labels, seed=seed, test_data=data_oa
-    ).items():
-        preds[name] = [p]
-    for name, spec in MEXI_VARIANTS.items():
-        stage = build_transform_stage(data_po, tr, submatcher=spec, nn=nn, seed=seed)
-        model = fit_from_stage(stage, MEXI_SETS, seed=seed)
-        preds[name] = [model.predict(te, data=data_oa)]
-    return _accuracy_table([truth], preds, seed=seed)
+    truth, preds, _, _ = _run_split(
+        data_po, data_po.full_ids, data_oa.full_ids, nn=nn, seed=seed, test_data=data_oa
+    )
+    return _accuracy_table([truth], {name: [p] for name, p in preds.items()}, seed=seed)
 
 
 def table3(exp: POExperiment) -> pd.DataFrame:
     """Table III — feature-set ablation of MExI_50 (include / exclude).
 
-    Reuses the per-fold MExI_50 transform stages: only the final
-    classifiers are refit per feature-set mask.
+    The full-mask row is Table IIa's MExI_50 predictions; every other
+    mask refits only the final classifiers on the per-fold MExI_50
+    transform stages, so the networks are trained once per fold.
     """
-    configs: dict[str, tuple[str, ...]] = {"MExI_50": MEXI_SETS}
-    for s in MEXI_SETS:
-        configs[f"include {s}"] = (s,)
-    for s in MEXI_SETS:
-        configs[f"exclude {s}"] = tuple(x for x in MEXI_SETS if x != s)
-    rows = []
-    for cname, mask in configs.items():
-        per_fold = []
-        for fi, (_, te) in enumerate(exp.folds):
-            model = fit_from_stage(exp.stages_50[fi], mask, seed=exp.seed + 1000 * (fi + 1))
-            per_fold.append(accuracy_row(exp.truth[fi], model.predict(te)))
-        row = {"config": cname}
-        for metric in ["A_P", "A_R", "A_Res", "A_Cal", "A_ML"]:
-            row[metric] = float(np.mean([f[metric] for f in per_fold]))
-        rows.append(row)
-    return pd.DataFrame(rows)
+    preds = {"MExI_50": exp.preds["MExI_50"]}
+    for cname, mask in ABLATION_MASKS.items():
+        preds[cname] = [
+            fit_from_stage(stage, mask, seed=_fold_seed(exp.seed, fi)).predict(te)
+            for fi, (stage, (_, te)) in enumerate(zip(exp.stages_50, exp.folds))
+        ]
+    return pd.DataFrame(
+        [{"config": cname, **_fold_mean(exp.truth, p)} for cname, p in preds.items()]
+    )
 
 
 def table4(exp: POExperiment, *, n_rep: int = 5) -> pd.DataFrame:
@@ -257,15 +266,9 @@ def utilization_tables(
     """
     data = exp.data
     # -- full-history identification (Fig. 10)
-    mexi_sel: list[str] = []
-    for p in exp.preds["MExI_50"]:
-        mexi_sel += select_experts(p)
-    selections = {"no_filter": list(data.full_ids), "MExI": sorted(mexi_sel)}
-    for name in ["Conf", "Qual. Test", "Self-Assess"]:
-        sel: list[str] = []
-        for p in exp.preds[name]:
-            sel += select_experts(p)
-        selections[name] = sorted(sel)
+    selections = {"no_filter": list(data.full_ids)}
+    for method, source in SELECTION_SOURCES.items():
+        selections[method] = sorted(m for p in exp.preds[source] for m in select_experts(p))
     perf_full = performance_table(data, selections)
 
     # -- early identification (Fig. 11): MExI retrained on the train
@@ -278,23 +281,19 @@ def utilization_tables(
     )
     early_sel: list[str] = []
     for fi, (tr, te) in enumerate(exp.folds):
+        fold_seed = _fold_seed(exp.seed, fi)
         stage = build_transform_stage(
-            data_early, tr, submatcher="none", nn=exp.nn,
-            seed=exp.seed + 1000 * (fi + 1), label_data=data,
+            data_early, tr, submatcher="none", nn=exp.nn, seed=fold_seed, label_data=data
         )
-        model_e = fit_from_stage(stage, MEXI_SETS, seed=exp.seed + 1000 * (fi + 1))
-        early_sel += select_experts(model_e.predict(te))
-    early_selections = dict(selections)
-    early_selections.pop("MExI")
+        early_sel += select_experts(fit_from_stage(stage, MEXI_SETS, seed=fold_seed).predict(te))
+    early_selections = {m: ids for m, ids in selections.items() if m != "MExI"}
     early_selections["MExI (early)"] = sorted(early_sel)
     perf_early = performance_table(data, early_selections)
 
     # -- fused match: correspondence filtering + vote aggregation
-    fused_rows = []
-    for method, ids in selections.items():
-        f = fused_match(spark, data, ids)
-        fused_rows.append({"method": method, **f})
-    fused = pd.DataFrame(fused_rows)
+    fused = pd.DataFrame(
+        [{"method": m, **fused_match(spark, data, ids)} for m, ids in selections.items()]
+    )
     return {"perf_full": perf_full, "perf_early": perf_early, "fused": fused}
 
 

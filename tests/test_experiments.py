@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from repro.core.measures import LABELS
-from repro.core.mexi import NNParams
+from repro.core.mexi import NNParams, fit_from_stage
 from repro.experiments import (
     MEXI_VARIANTS,
     population_tables,
@@ -61,12 +61,28 @@ class TestTables:
         assert {"include LRSM", "exclude Spa"} <= set(t["config"])
 
     def test_table3_mexi_row_matches_table2a(self, exp):
-        """The MExI_50 ablation row must equal the Table IIa MExI_50 row
-        (same stages, same seeds)."""
+        """The MExI_50 ablation row is the Table IIa MExI_50 row (the same
+        per-fold predictions), so the two are equal exactly."""
         a = table2a(exp).set_index("method").loc["MExI_50"]
         b = table3(exp).set_index("config").loc["MExI_50"]
         for m in ["A_P", "A_R", "A_Res", "A_Cal", "A_ML"]:
-            assert a[m] == pytest.approx(b[m])
+            assert a[m] == b[m]
+
+    def test_table3_refits_only_the_ten_masks(self, exp, monkeypatch):
+        """Table III reuses the stored MExI_50 fold models for its full-mask
+        row: it fits the 5 include and 5 exclude masks once per fold."""
+        import repro.experiments as E
+
+        calls = []
+
+        def counting(stage, include_sets, **kw):
+            calls.append(include_sets)
+            return fit_from_stage(stage, include_sets, **kw)
+
+        monkeypatch.setattr(E, "fit_from_stage", counting)
+        table3(exp)
+        assert len(calls) == 10 * len(exp.folds)
+        assert E.MEXI_SETS not in calls
 
     def test_table4_layout(self, exp):
         t = table4(exp, n_rep=2)

@@ -1,5 +1,5 @@
 """Job entrypoints: compile, expose main(), and the worked-example job
-logic runs against the shared session."""
+reproduces §II's measures."""
 import importlib.util
 import py_compile
 import sys
@@ -24,40 +24,26 @@ def test_job_compiles(name):
     py_compile.compile(str(JOBS / name), doraise=True)
 
 
-@pytest.mark.parametrize("name", ALL_JOBS)
-def test_job_exposes_main(name):
+def _load(name: str):
     sys.path.insert(0, str(JOBS))
     try:
         spec = importlib.util.spec_from_file_location(name.removesuffix(".py"), JOBS / name)
         mod = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(mod)
-        assert callable(mod.main)
+        return mod
     finally:
         sys.path.remove(str(JOBS))
 
 
-def test_table1_logic_matches_paper(spark):
-    """The Table I job's pipeline (run against the shared session)."""
-    import pandas as pd
+@pytest.mark.parametrize("name", ALL_JOBS)
+def test_job_exposes_main(name):
+    assert callable(_load(name).main)
 
-    from repro.core.measures import matcher_measures
 
-    hist = pd.DataFrame(
-        [
-            ("h", "PO", 0, 3, 4, 1.0, 3.0),
-            ("h", "PO", 1, 1, 1, 0.9, 8.0),
-            ("h", "PO", 2, 1, 2, 0.5, 15.0),
-            ("h", "PO", 3, 1, 1, 0.5, 16.0),
-            ("h", "PO", 4, 2, 1, 0.45, 34.0),
-        ],
-        columns=["matcher_id", "task", "step", "row_i", "col_j", "conf", "t"],
-    )
-    ref = pd.DataFrame(
-        [("PO", 1, 1, 0.1), ("PO", 1, 2, 0.1), ("PO", 2, 3, 0.1), ("PO", 3, 4, 0.1)],
-        columns=["task", "row_i", "col_j", "difficulty"],
-    )
-    m = matcher_measures(
-        spark, spark.createDataFrame(hist), spark.createDataFrame(ref), n_perm=400
-    ).toPandas().iloc[0]
+def test_table1_logic_matches_paper():
+    """The Table I job's measures (the extraction kernel's functions)
+    are §II's worked example."""
+    _, entries, m = _load("table1_example.py").example()
+    assert len(entries) == 4  # step 1 is superseded by step 3
     assert m["P"] == 0.75 and m["R"] == 0.75
     assert m["res"] == 1.0 and m["res_pval"] > 0.05
