@@ -238,7 +238,9 @@ def _fit_logregs(fits: list) -> list[LogisticRegression]:
     which ``np.stack`` lays out in that order: the layout (a DataFrame's
     matrix is column-major, a row selection of it row-major) sets the
     order of the row sums and of the BLAS products, and padding unequal
-    row counts would change both."""
+    row counts would change both. ``LogisticRegression.fit`` puts each
+    member on the 16-byte boundary the BLAS products also need, so
+    callers need not."""
     out: list = [None] * len(fits)
     groups: dict[tuple, list[int]] = {}
     for i, (X, _, _) in enumerate(fits):

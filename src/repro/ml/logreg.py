@@ -10,9 +10,11 @@ One fit may train a stack of G independent regressions on a leading
 member axis, X (G, n, d) and y (G, n): member g standardizes its own
 rows and draws its initial weights from ``default_rng(seed[g])``. Every
 member equals a separate fit on its own (n, d) array bit for bit when
-the stack lays each member out in that array's memory order (as
-``np.stack`` does for arrays of one order). Members must share n:
-padding would change the order of the row sums.
+it is laid out in that array's memory order and starts on a 16-byte
+boundary, as a separate array does. The caller's stack sets the order
+(``np.stack`` keeps the order of arrays of one order); ``fit`` builds
+its standardized members in that order, each on the boundary. Members
+must share n: padding would change the order of the row sums.
 """
 from __future__ import annotations
 
@@ -68,7 +70,15 @@ class LogisticRegression:
         mu = X.mean(axis=1, keepdims=True)
         sd = X.std(axis=1, keepdims=True)
         sd[sd < 1e-12] = 1.0
-        Xs = (X - mu) / sd
+        # Each member in X's memory order and on a 16-byte boundary, as a
+        # separate array is: BLAS dgemv sums in another order off it. So
+        # the member stride is rounded up to an even number of elements.
+        size = n * d
+        buf = np.empty((G, size + size % 2))[:, :size]
+        column_major = X.strides[1] < X.strides[2]
+        Xs = buf.reshape(G, d, n).transpose(0, 2, 1) if column_major else buf.reshape(G, n, d)
+        np.subtract(X, mu, out=Xs)
+        Xs /= sd
         XsT = Xs.transpose(0, 2, 1)
         seeds = np.broadcast_to(self.seed, (G,))
         # per member: the weights, then the intercept
