@@ -3,8 +3,8 @@
 Pins what the learning layer computes before a refactor of it, so the
 refactor can be shown to change nothing. ``dump`` runs one checkout at
 bench scale (``benchmarks/_config.py``: 36 PO matchers, k=3, n_perm=30,
-grid=16, ``BENCH_NN``; fold 0, fold seed 1000) and pickles one frame per
-item:
+grid=16, ``BENCH_NN``; fold 0 under the harness's fold-0 seed) and
+pickles one frame per item:
 
 - ``transformed.<variant>``: the Φ(D) table of the MExI_none/50/70
   transform stages and of the §IV-F early-identification stage;
@@ -19,20 +19,20 @@ item:
   tuned threshold (a constant label has no scores and no threshold);
 - ``predict.early_bundle`` / ``predict.oaei_bundle``: the MExI_50 model
   predicting the test matchers of the early (first 15 decisions) bundle
-  and every matcher of a 12-matcher OAEI bundle;
+  and every matcher of the ``BENCH_OAEI_N``-matcher OAEI bundle;
 - ``ablation.predictions`` / ``ablation.winners`` /
-  ``ablation.thresholds``: the eleven Table III masks refit on the
-  MExI_50 stage;
+  ``ablation.thresholds``: the eleven Table III masks (the full mask
+  and ``ABLATION_MASKS``) refit on the MExI_50 stage;
 - ``importance``: permutation importance of the MExI_50 model;
-- ``baselines.own`` / ``baselines.oaei``: the seven baselines on the
-  test fold and on the OAEI bundle;
+- ``baselines.own`` / ``baselines.oaei``: the seven baselines of the
+  MExI_none stage on the test fold and on the OAEI bundle;
 - ``truth.fold0`` / ``truth.oaei``: ground-truth labels from train-fold
   thresholds;
 - ``tables.<name>``: every frame the table harness returns at bench
   scale (all ``k`` folds, seed 0): ``table2a``, ``table3``, ``table4``
   and ``utilize_perf_full`` / ``utilize_perf_early`` / ``utilize_fused``
   (``utilization_tables``, early limit 15) of one ``run_po_experiment``,
-  and ``table2b`` (bench-scale PO cohort, 12 OAEI matchers).
+  and ``table2b`` (bench-scale PO cohort and OAEI bundle).
 
 ``compare`` prints, per item, whether the two dumps are
 ``DataFrame.equals`` with the same columns and dtypes, and exits 1 if
@@ -56,90 +56,25 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pandas as pd
 
 ROOT = Path(__file__).resolve().parent.parent
-FULL = ("LRSM", "Mou", "Beh", "Seq", "Spa")
-VARIANTS = {"MExI_none": "none", "MExI_50": "50", "MExI_70": "70"}
 EARLY_LIMIT = 15
-OAEI_N = 12
-FOLD_SEED = 1000  # the experiments' seed of fold 0
 
 
-def _masks() -> dict[str, tuple[str, ...]]:
-    masks = {"MExI_50": FULL}
-    masks.update({f"include {s}": (s,) for s in FULL})
-    masks.update({f"exclude {s}": tuple(x for x in FULL if x != s) for s in FULL})
-    return masks
-
-
-def _predict_other(model, data, ids: list[str]) -> pd.DataFrame:
-    """Predictions for matchers of another bundle; checkouts older than
-    the single ``predict(ids, data=)`` path call it ``predict_on``."""
-    if hasattr(model, "predict_on"):
-        return model.predict_on(data, ids)
-    return model.predict(ids, data=data)
-
-
-def _truth(train_data, train_ids: list[str], data, ids: list[str]) -> pd.DataFrame:
-    """Labels of ``ids`` in ``data``, thresholds from ``train_ids`` of
-    ``train_data``; built from the two functions every checkout has, so
-    that older checkouts can be dumped too."""
-    from repro.core.measures import LABELS, attach_labels, cognitive_thresholds
-
-    meas = train_data.measures
-    d_res, d_cal = cognitive_thresholds(meas[meas["matcher_id"].isin(train_ids)])
-    lab = attach_labels(data.measures, delta_res=d_res, delta_cal=d_cal)
-    return lab[lab["matcher_id"].isin(ids)][["matcher_id", *LABELS]].reset_index(drop=True)
-
-
-def _cv_scores(X: np.ndarray, y: np.ndarray, seed: int) -> dict[str, float]:
-    """Both candidates' 3-fold CV accuracies as the per-label selection
-    computes them, for checkouts whose classifiers do not keep them."""
-    from repro.ml.forest import RandomForest
-    from repro.ml.logreg import LogisticRegression
-
-    order = np.random.default_rng(seed).permutation(len(y))
-    candidates = {
-        "LogisticRegression": lambda s: LogisticRegression(seed=s),
-        "RandomForest": lambda s: RandomForest(n_estimators=60, seed=s),
-    }
-    scores = {}
-    for name, make in candidates.items():
-        accs = []
-        for f in range(3):
-            te = order[f::3]
-            tr = np.setdiff1d(order, te)
-            if len(np.unique(y[tr])) == 1:
-                pred = np.full(len(te), y[tr][0])
-            else:
-                pred = (make(seed).fit(X[tr], y[tr]).predict_proba(X[te]) >= 0.5).astype(int)
-            accs.append(float((pred == y[te]).mean()))
-        scores[name] = float(np.mean(accs))
-    return scores
-
-
-def _selection(stage, model, seed: int) -> pd.DataFrame:
+def _selection(model) -> pd.DataFrame:
     """Per label: the winner, both CV accuracies and the threshold."""
-    from repro.core.measures import LABELS
-
-    fit_rows = stage.transformed[stage.transformed["matcher_id"].isin(stage.fit_ids)].merge(
-        stage.labels_for(stage.fit_ids), on="matcher_id"
-    )
-    X = fit_rows[model.feature_cols].to_numpy(dtype=float)
     rows = []
-    for li, lab in enumerate(LABELS):
-        clf = model.classifiers[lab]
+    for lab, clf in model.classifiers.items():
         row = {"label": lab, "clf": type(getattr(clf, "clf", clf)).__name__,
                "cv_LogisticRegression": np.nan, "cv_RandomForest": np.nan, "threshold": np.nan}
         if hasattr(clf, "threshold"):
-            scores = getattr(clf, "cv_scores", None)
-            if scores is None:
-                scores = _cv_scores(X, fit_rows[lab].to_numpy(dtype=int), seed + 17 * li)
-            row.update({f"cv_{name}": acc for name, acc in scores.items()}, threshold=clf.threshold)
+            row.update({f"cv_{name}": acc for name, acc in clf.cv_scores.items()},
+                       threshold=clf.threshold)
         rows.append(row)
     return pd.DataFrame(rows)
 
@@ -160,7 +95,9 @@ def _tables(spark, cfg) -> dict[str, pd.DataFrame]:
              "tables.table4": E.table4(exp)}
     for name, frame in E.utilization_tables(spark, exp, early_limit=EARLY_LIMIT).items():
         items[f"tables.utilize_{name}"] = frame
-    items["tables.table2b"] = E.table2b(spark, po_n=cfg.BENCH_N_MATCHERS, oaei_n=OAEI_N, **kw)
+    items["tables.table2b"] = E.table2b(
+        spark, po_n=cfg.BENCH_N_MATCHERS, oaei_n=cfg.BENCH_OAEI_N, **kw
+    )
     return items
 
 
@@ -168,6 +105,7 @@ def dump(out: Path) -> None:
     from _common import get_spark
 
     from benchmarks import _config as cfg
+    from repro import experiments as E
     from repro.core import mexi
     from repro.core.baselines import baseline_predictions
     from repro.core.evaluate import kfold_ids
@@ -175,27 +113,31 @@ def dump(out: Path) -> None:
     from repro.humansim import build_cohort
 
     t0 = time.time()
+    fold_seed = E._fold_seed(0, 0)
     spark = get_spark("golden")
     kw = dict(n_perm=cfg.BENCH_N_PERM, grid=cfg.BENCH_GRID, seed=0)
     data = mexi.prepare(spark, build_cohort("PO", n_matchers=cfg.BENCH_N_MATCHERS, seed=0), **kw)
     early = mexi.prepare(spark, data.cohort, sub_sizes=[], decision_limit=EARLY_LIMIT, **kw)
-    oaei = mexi.prepare(spark, build_cohort("OAEI", n_matchers=OAEI_N, seed=0), sub_sizes=[], **kw)
+    oaei = mexi.prepare(
+        spark, build_cohort("OAEI", n_matchers=cfg.BENCH_OAEI_N, seed=0), sub_sizes=[], **kw
+    )
     tr, te = kfold_ids(data.full_ids, k=cfg.BENCH_K, seed=0)[0]
     items: dict[str, pd.DataFrame] = {}
     models, stages = {}, {}
-    for name, spec in VARIANTS.items():
+    for name, spec in E.MEXI_VARIANTS.items():
         stages[name] = mexi.build_transform_stage(
-            data, tr, submatcher=spec, nn=cfg.BENCH_NN, seed=FOLD_SEED
+            data, tr, submatcher=spec, nn=cfg.BENCH_NN, seed=fold_seed
         )
-        models[name] = mexi.fit_from_stage(stages[name], FULL, seed=FOLD_SEED)
+        models[name] = mexi.fit_from_stage(stages[name], E.MEXI_SETS, seed=fold_seed)
         items[f"transformed.{name}"] = stages[name].transformed
         items[f"predict.{name}"] = models[name].predict(te)
         X = models[name].features(te)
         probas = {lab: clf.predict_proba(X) for lab, clf in models[name].classifiers.items()}
         items[f"proba.{name}"] = pd.DataFrame({"matcher_id": te, **probas})
-        items[f"selection.{name}"] = _selection(stages[name], models[name], FOLD_SEED)
+        items[f"selection.{name}"] = _selection(models[name])
     stage_e = mexi.build_transform_stage(
-        early, tr, submatcher="none", nn=cfg.BENCH_NN, seed=FOLD_SEED, label_data=data
+        replace(early, measures=data.measures), tr, submatcher="none", nn=cfg.BENCH_NN,
+        seed=fold_seed,
     )
     items["transformed.early"] = stage_e.transformed
     stages["early"] = stage_e
@@ -209,14 +151,14 @@ def dump(out: Path) -> None:
             for name, st in stages.items()
         ]
     )
-    items["predict.early"] = mexi.fit_from_stage(stage_e, FULL, seed=FOLD_SEED).predict(te)
+    items["predict.early"] = mexi.fit_from_stage(stage_e, E.MEXI_SETS, seed=fold_seed).predict(te)
     m50 = models["MExI_50"]
-    items["predict.early_bundle"] = _predict_other(m50, early, te)
-    items["predict.oaei_bundle"] = _predict_other(m50, oaei, oaei.full_ids)
+    items["predict.early_bundle"] = m50.predict(te, data=early)
+    items["predict.oaei_bundle"] = m50.predict(oaei.full_ids, data=oaei)
 
     preds, winners, thresholds = {}, [], []
-    for cname, mask in _masks().items():
-        model = mexi.fit_from_stage(stages["MExI_50"], mask, seed=FOLD_SEED)
+    for cname, mask in ({"MExI_50": E.MEXI_SETS} | E.ABLATION_MASKS).items():
+        model = mexi.fit_from_stage(stages["MExI_50"], mask, seed=fold_seed)
         preds[cname] = model.predict(te)
         for lab, clf in model.classifiers.items():
             inner = getattr(clf, "clf", clf)
@@ -228,18 +170,16 @@ def dump(out: Path) -> None:
     items["ablation.winners"] = pd.DataFrame(winners)
     items["ablation.thresholds"] = pd.DataFrame(thresholds)
 
-    truth = _truth(data, tr, data, te)
+    truth = E._truth_for(data, tr, te).reset_index(drop=True)
     items["truth.fold0"] = truth
-    items["truth.oaei"] = _truth(data, tr, oaei, oaei.full_ids)
-    items["importance"] = permutation_importance(m50, truth, te, n_rep=2, seed=FOLD_SEED)
-    train_labels = _truth(data, tr, data, tr)
+    items["truth.oaei"] = E._truth_for(data, tr, oaei.full_ids, oaei).reset_index(drop=True)
+    items["importance"] = permutation_importance(m50, truth, te, n_rep=2, seed=fold_seed)
+    stage_none = stages["MExI_none"]
     items["baselines.own"] = _stacked(
-        baseline_predictions(data, tr, te, train_labels, seed=FOLD_SEED), "method"
+        baseline_predictions(data, stage_none, te, seed=fold_seed), "method"
     )
     items["baselines.oaei"] = _stacked(
-        baseline_predictions(
-            data, tr, oaei.full_ids, train_labels, seed=FOLD_SEED, test_data=oaei
-        ),
+        baseline_predictions(data, stage_none, oaei.full_ids, seed=fold_seed, test_data=oaei),
         "method",
     )
     items.update(_tables(spark, cfg))

@@ -11,7 +11,7 @@ from repro.core.measures import (
     matcher_measures,
     preprocess_history,
 )
-from repro.core.mexi import MExIModel, NNParams, PreparedData, prepare, train_mexi
+from repro.core.mexi import MExIModel, NNParams, PreparedData, prepare
 
 __all__ = [
     "accuracy_row",
@@ -30,5 +30,4 @@ __all__ = [
     "NNParams",
     "PreparedData",
     "prepare",
-    "train_mexi",
 ]

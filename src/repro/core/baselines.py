@@ -13,11 +13,9 @@
 - ``BEH`` [19] — learned classifier over the aggregated behavioral
   feature sets (Φ_Beh + Φ_Mou).
 
-The learning-based baselines reuse the MExI trainer restricted to the
-relevant feature sets, fit on the real train matchers only (no
-sub-matchers, no networks). They are therefore not the ``include``-rows
-of the Table III ablation, which refit on the MExI_50 stage and so also
-train on its sub-matcher rows.
+The learning-based baselines are include-masks of the MExI_∅ stage, as
+Table III's are of MExI_50: MExI's classifier selection over the real
+train matchers (no sub-matchers), reading no network output.
 """
 from __future__ import annotations
 
@@ -25,7 +23,7 @@ import numpy as np
 import pandas as pd
 
 from repro.core.measures import LABELS
-from repro.core.mexi import NNParams, PreparedData, train_mexi
+from repro.core.mexi import PreparedData, _TransformStage, fit_from_stage
 
 __all__ = ["BASELINE_NAMES", "baseline_predictions"]
 
@@ -57,20 +55,20 @@ def _all_same(ids: list[str], expert: pd.Series) -> pd.DataFrame:
 
 def baseline_predictions(
     data: PreparedData,
-    train_ids: list[str],
+    stage: _TransformStage,
     test_ids: list[str],
-    train_labels: pd.DataFrame,
     *,
     seed: int = 0,
     test_data: PreparedData | None = None,
 ) -> dict[str, pd.DataFrame]:
     """Predictions of all seven baselines for ``test_ids``.
 
-    ``train_labels`` are the ground-truth labels of the train fold
-    (computed by the caller with train-fold thresholds). ``test_data``
-    supports cross-cohort testing (Table IIb): test matchers' measures,
-    warm-up phase and features come from that bundle, while everything
-    learned (frequencies, medians, classifiers) comes from ``data``.
+    ``stage`` is the split's MExI_∅ stage of ``data``: its fit ids are
+    the real train matchers and its labels their ground truth under
+    train-fold thresholds. ``test_data`` supports cross-cohort testing
+    (Table IIb): test matchers' measures, warm-up phase and features come
+    from that bundle, while everything learned (frequencies, medians,
+    classifiers) comes from ``data``.
     """
     test_data = test_data or data
     rng = np.random.default_rng(seed)
@@ -80,18 +78,15 @@ def baseline_predictions(
 
     out: dict[str, pd.DataFrame] = {}
     out["Rand"] = _uniform(test_ids, rng)
-    out["Rand_Freq"] = _freq(test_ids, train_labels, rng)
+    out["Rand_Freq"] = _freq(test_ids, stage.labels_for(stage.fit_ids), rng)
 
-    conf_median = float(train_meas.loc[train_ids, "conf_mean"].median())
+    conf_median = float(train_meas.loc[stage.fit_ids, "conf_mean"].median())
     out["Conf"] = _all_same(test_ids, test_meas["conf_mean"] > conf_median)
     out["Qual. Test"] = _all_same(test_ids, warm["P"] > 0.5)
     out["Self-Assess"] = _all_same(
         test_ids, (warm["P"] > 0.6) & (warm["cal"].abs() < 0.2)
     )
 
-    for name, sets in [("LRSM", ("LRSM",)), ("BEH", ("Beh", "Mou"))]:
-        model = train_mexi(
-            data, train_ids, submatcher="none", include_sets=sets, nn=NNParams(), seed=seed
-        )
-        out[name] = model.predict(test_ids, data=test_data)
+    for name, mask in [("LRSM", ("LRSM",)), ("BEH", ("Beh", "Mou"))]:
+        out[name] = fit_from_stage(stage, mask, seed=seed).predict(test_ids, data=test_data)
     return out

@@ -16,7 +16,7 @@ from repro.core.measures import LABELS
 
 __all__ = [
     "accuracy_per_label",
-    "jaccard_scores",
+    "matcher_scores",
     "multilabel_accuracy",
     "accuracy_row",
     "kfold_ids",
@@ -33,33 +33,37 @@ def _aligned(y_true: pd.DataFrame, y_pred: pd.DataFrame) -> tuple[np.ndarray, np
     return t.to_numpy(dtype=int), p.to_numpy(dtype=int)
 
 
-def accuracy_per_label(y_true: pd.DataFrame, y_pred: pd.DataFrame) -> dict[str, float]:
-    """Eq. 6 per characteristic: {'A_P': …, 'A_R': …, 'A_Res': …, 'A_Cal': …}."""
+def matcher_scores(y_true: pd.DataFrame, y_pred: pd.DataFrame) -> dict[str, np.ndarray]:
+    """Per-matcher scores, in ``y_true``'s order: each label's 0/1 hit
+    (the summand of Eq. 6) as ``A_P`` … ``A_Cal``, and the Jaccard of the
+    positive-label sets (the summand of Eq. 7) as ``A_ML``."""
     t, p = _aligned(y_true, y_pred)
-    return {
-        f"A_{lab.removeprefix('E_')}": float((t[:, i] == p[:, i]).mean())
+    out = {
+        f"A_{lab.removeprefix('E_')}": (t[:, i] == p[:, i]).astype(float)
         for i, lab in enumerate(LABELS)
     }
-
-
-def jaccard_scores(y_true: pd.DataFrame, y_pred: pd.DataFrame) -> np.ndarray:
-    """Per-matcher Jaccard of positive-label sets (the summand of Eq. 7)."""
-    t, p = _aligned(y_true, y_pred)
     inter = ((t == 1) & (p == 1)).sum(axis=1)
     union = ((t == 1) | (p == 1)).sum(axis=1)
-    return np.where(union == 0, 1.0, inter / np.maximum(union, 1))
+    out["A_ML"] = np.where(union == 0, 1.0, inter / np.maximum(union, 1))
+    return out
+
+
+def accuracy_row(y_true: pd.DataFrame, y_pred: pd.DataFrame) -> dict[str, float]:
+    """One Table-II-style row: the four A_c values plus A_ML, each the
+    mean of its :func:`matcher_scores`."""
+    return {metric: float(s.mean()) for metric, s in matcher_scores(y_true, y_pred).items()}
+
+
+def accuracy_per_label(y_true: pd.DataFrame, y_pred: pd.DataFrame) -> dict[str, float]:
+    """Eq. 6 per characteristic: {'A_P': …, 'A_R': …, 'A_Res': …, 'A_Cal': …}."""
+    row = accuracy_row(y_true, y_pred)
+    del row["A_ML"]
+    return row
 
 
 def multilabel_accuracy(y_true: pd.DataFrame, y_pred: pd.DataFrame) -> float:
     """Eq. 7: mean per-matcher Jaccard."""
-    return float(jaccard_scores(y_true, y_pred).mean())
-
-
-def accuracy_row(y_true: pd.DataFrame, y_pred: pd.DataFrame) -> dict[str, float]:
-    """One Table-II-style row: the four A_c values plus A_ML."""
-    row = accuracy_per_label(y_true, y_pred)
-    row["A_ML"] = multilabel_accuracy(y_true, y_pred)
-    return row
+    return accuracy_row(y_true, y_pred)["A_ML"]
 
 
 def kfold_ids(ids: list[str], *, k: int = 5, seed: int = 0) -> list[tuple[list[str], list[str]]]:

@@ -7,10 +7,10 @@ Two-stage API designed around the experiment structure:
   sequences, heat maps, final matrices) as one cogrouped Spark pass with
   a per-matcher kernel (:mod:`repro.core.extract`) and collects
   cohort-scale frames to the driver.
-- :func:`build_transform_stage` / :func:`fit_from_stage` (together
-  :func:`train_mexi`) then run per fold / per configuration entirely on
-  the prepared bundle: train-fold thresholds → labels, train-only
-  consensus, late fusion, binary-relevance classifier selection
+- :func:`build_transform_stage` / :func:`fit_from_stage` then run per
+  fold / per configuration entirely on the prepared bundle: train-fold
+  thresholds → labels, train-only consensus, late fusion,
+  binary-relevance classifier selection
   (logistic regression vs random forest, 3-fold CV as §IV-B2's "top
   performing classifier"). :func:`_select_classifiers` selects all four
   labels in one pass: every logistic regression of one row count, over
@@ -62,7 +62,6 @@ __all__ = [
     "PreparedData",
     "MExIModel",
     "prepare",
-    "train_mexi",
     "build_transform_stage",
     "fit_from_stage",
 ]
@@ -70,8 +69,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NNParams:
-    """Network hyper-parameters (§IV-B1 defaults, scaled-down options
-    for tests)."""
+    """Network hyper-parameters: §IV-B1's defaults, scaled down by the
+    tests and the bench-scale benchmarks."""
 
     lstm_hidden: int = 64
     lstm_dense: int = 100
@@ -366,9 +365,9 @@ class MExIModel:
 @dataclass
 class _TransformStage:
     """Networks + transformed feature table for one (fold, submatcher)
-    configuration — shared across ablation configs (Table III) because
-    the network outputs do not depend on the final classifier's
-    feature-set mask."""
+    configuration — shared across feature-set masks (Table III's on the
+    MExI_50 stage, the LRSM/BEH baselines' on MExI_∅) because the network
+    outputs do not depend on the final classifier's feature-set mask."""
 
     transformed: pd.DataFrame
     label_lookup: pd.DataFrame  # labels of REAL matchers, matcher_id-indexed
@@ -408,19 +407,14 @@ def build_transform_stage(
     include_sets: tuple[str, ...] = ALL_SETS,
     nn: NNParams = NNParams(),
     seed: int = 0,
-    label_data: PreparedData | None = None,
 ) -> _TransformStage:
     """Stage 1: thresholds, labels, consensus, late-fusion networks for
-    the late-fusion sets among ``include_sets``.
-
-    ``label_data`` lets labels come from a different bundle than the
-    features — the §IV-F early-identification setting trains on
-    *truncated-history* features with *full-history* labels ("does not
-    require labels for those decisions": the full-history train labels
-    already exist).
+    the late-fusion sets among ``include_sets``. Labels come from
+    ``data.measures``: the §IV-F early-identification bundle carries the
+    full-history measures next to its truncated-history features.
     """
     # 1. cognitive thresholds + labels from the train fold (Eqs. 4–5)
-    labels, delta_res, delta_cal = train_fold_labels((label_data or data).measures, train_ids)
+    labels, delta_res, delta_cal = train_fold_labels(data.measures, train_ids)
     label_lookup = labels.set_index("matcher_id")
 
     # 2. training rows: real train matchers + their sub-matchers
@@ -486,23 +480,3 @@ def fit_from_stage(
         networks={s: net for s, net in stage.networks.items() if s in include_sets},
     )
 
-
-def train_mexi(
-    data: PreparedData,
-    train_ids: list[str],
-    *,
-    submatcher: str = "50",
-    include_sets: tuple[str, ...] = ALL_SETS,
-    nn: NNParams = NNParams(),
-    seed: int = 0,
-) -> MExIModel:
-    """Train MExI on the given real train matchers.
-
-    ``submatcher`` ∈ {'none', '50', '70'} (MExI_∅ / MExI_50 / MExI_70).
-    ``include_sets`` restricts the feature sets — the ablation axis of
-    Table III and the mechanism behind the LRSM/BEH baselines.
-    """
-    stage = build_transform_stage(
-        data, train_ids, submatcher=submatcher, include_sets=include_sets, nn=nn, seed=seed
-    )
-    return fit_from_stage(stage, tuple(include_sets), seed=seed)

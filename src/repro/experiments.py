@@ -7,21 +7,16 @@ share one expensive extraction + training pass.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.baselines import baseline_predictions
-from repro.core.evaluate import (
-    accuracy_row,
-    bootstrap_pvalue,
-    jaccard_scores,
-    kfold_ids,
-)
+from repro.core.evaluate import accuracy_row, bootstrap_pvalue, kfold_ids, matcher_scores
 from repro.core.importance import permutation_importance, top_features
-from repro.core.measures import LABELS, attach_labels, cognitive_thresholds, train_fold_labels
+from repro.core.measures import attach_labels, cognitive_thresholds, train_fold_labels
 from repro.core.mexi import (  # noqa: F401 (MExIModel re-exported)
     MExIModel,
     NNParams,
@@ -93,22 +88,23 @@ def _run_split(
     test_data: PreparedData | None = None,
 ) -> tuple[pd.DataFrame, dict[str, pd.DataFrame], _TransformStage, MExIModel]:
     """One (train, test) split of §IV-B1: the test matchers' ground truth,
-    every method's predictions for them (7 baselines + 3 MExI variants)
-    and the MExI_50 stage and model that Tables III and IV reuse.
+    every method's predictions for them (7 baselines, LRSM and BEH as
+    masks on the MExI_∅ stage, + 3 MExI variants) and the MExI_50 stage
+    and model that Tables III and IV reuse.
     ``test_data`` is the test matchers' bundle when it is not the train
     one (Table IIb)."""
     truth = _truth_for(data, train_ids, test_ids, test_data)
+    stages = {
+        name: build_transform_stage(data, train_ids, submatcher=spec, nn=nn, seed=seed)
+        for name, spec in MEXI_VARIANTS.items()
+    }
     preds = baseline_predictions(
-        data, train_ids, test_ids, _truth_for(data, train_ids, train_ids),
-        seed=seed, test_data=test_data,
+        data, stages["MExI_none"], test_ids, seed=seed, test_data=test_data
     )
-    for name, spec in MEXI_VARIANTS.items():
-        stage = build_transform_stage(data, train_ids, submatcher=spec, nn=nn, seed=seed)
-        model = fit_from_stage(stage, MEXI_SETS, seed=seed)
+    models = {name: fit_from_stage(stage, MEXI_SETS, seed=seed) for name, stage in stages.items()}
+    for name, model in models.items():
         preds[name] = model.predict(test_ids, data=test_data)
-        if name == "MExI_50":
-            stage_50, model_50 = stage, model
-    return truth, preds, stage_50, model_50
+    return truth, preds, stages["MExI_50"], models["MExI_50"]
 
 
 def run_po_experiment(
@@ -142,18 +138,6 @@ def _pooled(dfs: list[pd.DataFrame]) -> pd.DataFrame:
     return pd.concat(dfs, ignore_index=True)
 
 
-def _method_scores(truth: pd.DataFrame, pred: pd.DataFrame) -> dict[str, np.ndarray]:
-    """Per-matcher score vectors per metric (for the bootstrap test)."""
-    t = truth.set_index("matcher_id")[LABELS]
-    p = pred.set_index("matcher_id")[LABELS].loc[t.index]
-    out = {
-        f"A_{lab.removeprefix('E_')}": (t[lab].to_numpy() == p[lab].to_numpy()).astype(float)
-        for lab in LABELS
-    }
-    out["A_ML"] = jaccard_scores(truth, pred)
-    return out
-
-
 def _fold_mean(truth_by_fold: list[pd.DataFrame], fold_preds: list[pd.DataFrame]) -> dict:
     """One method's accuracies (:data:`METRICS`), each the mean over folds."""
     per_fold = [accuracy_row(t, p) for t, p in zip(truth_by_fold, fold_preds)]
@@ -171,14 +155,14 @@ def _accuracy_table(
     truth_all = _pooled(truth_by_fold)
     rows = []
     ref_scores = (
-        _method_scores(truth_all, _pooled(preds[REFERENCE_METHOD]))
+        matcher_scores(truth_all, _pooled(preds[REFERENCE_METHOD]))
         if REFERENCE_METHOD in preds
         else None
     )
     for method, fold_preds in preds.items():
         row = {"method": method, **_fold_mean(truth_by_fold, fold_preds)}
         if ref_scores is not None and method != REFERENCE_METHOD:
-            scores = _method_scores(truth_all, _pooled(fold_preds))
+            scores = matcher_scores(truth_all, _pooled(fold_preds))
             row["sig_vs_LRSM"] = all(
                 bootstrap_pvalue(scores[m], ref_scores[m], seed=seed) < 0.05
                 for m in ["A_P", "A_ML"]
@@ -273,18 +257,18 @@ def utilization_tables(
 
     # -- early identification (Fig. 11): MExI retrained on the train
     # matchers' TRUNCATED-history features with their FULL-history labels
-    # (§IV-F — "does not require labels for those decisions"), then
-    # applied to the test matchers' truncated histories.
+    # (§IV-F — "does not require labels for those decisions"; the early
+    # bundle keeps the full-history measures), then applied to the test
+    # matchers' truncated histories.
     data_early = prepare(
         spark, data.cohort, sub_sizes=[], n_perm=20, grid=data.grid,
         decision_limit=early_limit, seed=exp.seed,
     )
+    data_early = replace(data_early, measures=data.measures)
     early_sel: list[str] = []
     for fi, (tr, te) in enumerate(exp.folds):
         fold_seed = _fold_seed(exp.seed, fi)
-        stage = build_transform_stage(
-            data_early, tr, submatcher="none", nn=exp.nn, seed=fold_seed, label_data=data
-        )
+        stage = build_transform_stage(data_early, tr, submatcher="none", nn=exp.nn, seed=fold_seed)
         early_sel += select_experts(fit_from_stage(stage, MEXI_SETS, seed=fold_seed).predict(te))
     early_selections = {m: ids for m, ids in selections.items() if m != "MExI"}
     early_selections["MExI (early)"] = sorted(early_sel)

@@ -4,9 +4,10 @@ import pandas as pd
 import pytest
 
 from repro.core.baselines import BASELINE_NAMES, baseline_predictions
+from repro.core.features import ALL_SETS, FEATURE_SETS
 from repro.core.importance import permutation_importance, top_features
 from repro.core.measures import LABELS, attach_labels, cognitive_thresholds
-from repro.core.mexi import NNParams, prepare, train_mexi
+from repro.core.mexi import NNParams, build_transform_stage, fit_from_stage, prepare
 from repro.core.utilize import fused_match, performance_table, select_experts
 from repro.humansim import build_cohort
 
@@ -25,18 +26,16 @@ def split(data):
 
 
 @pytest.fixture(scope="module")
-def train_labels(data, split):
+def stage(data, split):
+    """The split's MExI_∅ stage."""
     tr, _ = split
-    m = data.measures
-    d_res, d_cal = cognitive_thresholds(m[m.matcher_id.isin(tr)])
-    lab = attach_labels(m, delta_res=d_res, delta_cal=d_cal)
-    return lab[lab.matcher_id.isin(tr)][["matcher_id", *LABELS]]
+    return build_transform_stage(data, tr, submatcher="none", nn=_NN, seed=0)
 
 
 @pytest.fixture(scope="module")
-def preds(data, split, train_labels):
-    tr, te = split
-    return baseline_predictions(data, tr, te, train_labels, seed=0)
+def preds(data, split, stage):
+    _, te = split
+    return baseline_predictions(data, stage, te, seed=0)
 
 
 class TestBaselines:
@@ -57,35 +56,46 @@ class TestBaselines:
             p = preds[name]
             assert (p[LABELS].nunique(axis=1) == 1).all(), name
 
-    def test_deterministic(self, data, split, train_labels):
-        tr, te = split
-        p1 = baseline_predictions(data, tr, te, train_labels, seed=3)
-        p2 = baseline_predictions(data, tr, te, train_labels, seed=3)
+    def test_deterministic(self, data, split, stage):
+        _, te = split
+        p1 = baseline_predictions(data, stage, te, seed=3)
+        p2 = baseline_predictions(data, stage, te, seed=3)
         for name in BASELINE_NAMES:
             pd.testing.assert_frame_equal(p1[name], p2[name])
 
-    def test_rand_changes_with_seed(self, data, split, train_labels):
-        tr, te = split
-        p1 = baseline_predictions(data, tr, te, train_labels, seed=1)["Rand"]
-        p2 = baseline_predictions(data, tr, te, train_labels, seed=2)["Rand"]
+    def test_rand_changes_with_seed(self, data, split, stage):
+        _, te = split
+        p1 = baseline_predictions(data, stage, te, seed=1)["Rand"]
+        p2 = baseline_predictions(data, stage, te, seed=2)["Rand"]
         assert not p1[LABELS].equals(p2[LABELS])
 
-    def test_cross_bundle(self, spark, data, split, train_labels):
-        tr, te_same = split
+    def test_cross_bundle(self, spark, data, stage):
         oa = build_cohort("OAEI", n_matchers=6, seed=5)
         data_oa = prepare(spark, oa, sub_sizes=[], n_perm=20, grid=12, seed=0)
-        out = baseline_predictions(
-            data, tr, data_oa.full_ids, train_labels, seed=0, test_data=data_oa
-        )
+        out = baseline_predictions(data, stage, data_oa.full_ids, seed=0, test_data=data_oa)
         for name, p in out.items():
             assert sorted(p["matcher_id"]) == sorted(data_oa.full_ids), name
+
+    def test_learned_baselines_read_no_network_output(self, data, split, stage):
+        """LRSM and BEH are masks without Φ_Seq/Φ_Spa: MExI_∅ stages whose
+        networks differ give the same LRSM and BEH predictions (for every
+        matcher, so that a mask reading network columns shows)."""
+        tr, _ = split
+        nn = NNParams(lstm_hidden=4, lstm_dense=5, lstm_epochs=2, cnn_filters=2, cnn_epochs=2)
+        other = build_transform_stage(data, tr, submatcher="none", nn=nn, seed=0)
+        nets = FEATURE_SETS["Seq"] + FEATURE_SETS["Spa"]
+        assert not stage.transformed[nets].equals(other.transformed[nets])
+        p1 = baseline_predictions(data, stage, data.full_ids, seed=0)
+        p2 = baseline_predictions(data, other, data.full_ids, seed=0)
+        for name in ["LRSM", "BEH"]:
+            pd.testing.assert_frame_equal(p1[name], p2[name])
 
 
 class TestImportance:
     @pytest.fixture(scope="class")
-    def model_truth(self, data, split, train_labels):
+    def model_truth(self, data, split, stage):
         tr, te = split
-        model = train_mexi(data, tr, submatcher="none", nn=_NN, seed=0)
+        model = fit_from_stage(stage, ALL_SETS, seed=0)
         m = data.measures
         d_res, d_cal = cognitive_thresholds(m[m.matcher_id.isin(tr)])
         lab = attach_labels(m, delta_res=d_res, delta_cal=d_cal)

@@ -9,8 +9,8 @@ from repro.core.evaluate import (
     accuracy_per_label,
     accuracy_row,
     bootstrap_pvalue,
-    jaccard_scores,
     kfold_ids,
+    matcher_scores,
     multilabel_accuracy,
 )
 from repro.core.measures import LABELS
@@ -70,7 +70,7 @@ class TestAccuracy:
     def test_jaccard_scores_per_matcher(self):
         t = _df([("a", 1, 1, 0, 0), ("b", 1, 0, 0, 0)])
         p = _df([("a", 1, 0, 0, 0), ("b", 1, 0, 0, 0)])
-        s = jaccard_scores(t, p)
+        s = matcher_scores(t, p)["A_ML"]
         assert s.tolist() == [0.5, 1.0]
 
 

@@ -17,7 +17,6 @@ from repro.core.mexi import (
     build_transform_stage,
     fit_from_stage,
     prepare,
-    train_mexi,
 )
 from repro.core.submatchers import is_sub
 from repro.humansim import build_cohort
@@ -119,7 +118,8 @@ class TestTrainPredict:
     @pytest.fixture(scope="class")
     def model(self, data, split):
         tr, _ = split
-        return train_mexi(data, tr, submatcher="none", nn=_NN, seed=0)
+        stage = build_transform_stage(data, tr, submatcher="none", nn=_NN, seed=0)
+        return fit_from_stage(stage, ALL_SETS, seed=0)
 
     def test_predict_shape(self, model, split):
         _, te = split
@@ -130,8 +130,13 @@ class TestTrainPredict:
 
     def test_predict_deterministic(self, data, split):
         tr, te = split
-        m1 = train_mexi(data, tr, submatcher="none", nn=_NN, seed=7)
-        m2 = train_mexi(data, tr, submatcher="none", nn=_NN, seed=7)
+        m1, m2 = (
+            fit_from_stage(
+                build_transform_stage(data, tr, submatcher="none", nn=_NN, seed=7),
+                ALL_SETS, seed=7,
+            )
+            for _ in range(2)
+        )
         pd.testing.assert_frame_equal(m1.predict(te), m2.predict(te))
 
     def test_predict_proba_in_range(self, model, split):
@@ -149,14 +154,18 @@ class TestTrainPredict:
 
     def test_include_sets_restrict_columns(self, data, split):
         tr, te = split
-        m = train_mexi(data, tr, submatcher="none", include_sets=("LRSM",), nn=_NN, seed=0)
+        stage = build_transform_stage(
+            data, tr, submatcher="none", include_sets=("LRSM",), nn=_NN, seed=0
+        )
+        m = fit_from_stage(stage, ("LRSM",), seed=0)
         assert set(m.feature_cols) == set(FEATURE_SETS["LRSM"])
         assert m.networks == {}
 
     def test_unknown_set_raises(self, data, split):
         tr, _ = split
         with pytest.raises(ValueError):
-            train_mexi(data, tr, include_sets=("Bogus",), nn=_NN, seed=0)
+            stage = build_transform_stage(data, tr, include_sets=("Bogus",), nn=_NN, seed=0)
+            fit_from_stage(stage, ("Bogus",), seed=0)
 
     def test_submatcher_spec_changes_fit_rows(self, data, split):
         tr, _ = split
@@ -191,7 +200,8 @@ class TestEarlyBundle:
 
     def test_cross_bundle_predict(self, spark, data, split):
         tr, te = split
-        model = train_mexi(data, tr, submatcher="none", nn=_NN, seed=0)
+        stage = build_transform_stage(data, tr, submatcher="none", nn=_NN, seed=0)
+        model = fit_from_stage(stage, ALL_SETS, seed=0)
         early = prepare(spark, data.cohort, sub_sizes=[], n_perm=10, grid=12,
                         decision_limit=12, seed=0)
         p = model.predict(te, data=early)
